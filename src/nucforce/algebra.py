@@ -56,12 +56,19 @@ class FinPoset:
 
     @staticmethod
     def chain(n: int) -> "FinPoset":
+        _check_count(n)
         labels = [f"q{i}" for i in range(n)]
         return FinPoset.from_covers(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
 
     @staticmethod
     def antichain(n: int) -> "FinPoset":
+        _check_count(n)
         return FinPoset.from_covers([f"a{i}" for i in range(n)], [])
+
+
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise AlgebraError(f"a poset cannot have {n} points")
 
 
 def poset_violations(elements, leq) -> list[str]:

@@ -53,10 +53,14 @@ class CliError(ValueError):
 
 
 def _poset_from_spec(spec: str):
-    if spec.startswith("chain:"):
-        return FinPoset.chain(int(spec.split(":", 1)[1]))
-    if spec.startswith("antichain:"):
-        return FinPoset.antichain(int(spec.split(":", 1)[1]))
+    for prefix, build in (("chain:", FinPoset.chain), ("antichain:", FinPoset.antichain)):
+        if spec.startswith(prefix):
+            count = spec[len(prefix):]
+            try:
+                size = int(count)
+            except ValueError:
+                raise AlgebraError(f"poset spec {spec!r}: {count!r} is not an integer") from None
+            return build(size)
     return load_poset(spec)
 
 
@@ -233,7 +237,6 @@ def cmd_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="nucforce")
     top.add_argument("--seed", type=int, default=0, help="seed recorded in reports and used for sampling")
-    top.add_argument("--jobs", type=int, default=1, help="worker count (runs are sequential; accepted for compatibility)")
     top.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -441,37 +441,30 @@ def eval_forcing_L(phi: Formula, m: HModel, j: Nucleus, frame: LopFrame, uenv: d
 
 def all_posets(max_points: int) -> list[FinPoset]:
     """All posets with up to max_points elements, one per isomorphism
-    class, in a canonical deterministic order."""
+    class, in a canonical deterministic order.
+
+    Level n is built from the classes at level n-1 by adding a new
+    maximal point above exactly one down-set (Brinkmann & McKay,
+    "Posets on up to 16 points", Order 19, 2002).  Every poset has a
+    maximal point and removing it leaves a poset on n-1 points, so every
+    class is reached.  A class is kept once, under its canonical form:
+    the least sorted list of strict pairs over all relabellings.  Each
+    level is listed in canonical-form order with labels p0..p(n-1).
+    """
     out = []
+    level = [()]  # canonical strict-pair lists of the classes on n-1 points
     for n in range(1, max_points + 1):
-        pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
+        new = n - 1  # index of the added point, above the points 0..new-1
         seen = set()
-        sized = []
-        for bits in range(2 ** len(pairs)):
-            rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
-            ok = True
-            for a, b in rel:
-                if (b, a) in rel:
-                    ok = False
-                    break
-                for c in range(n):
-                    if (b, c) in rel and (a, c) not in rel:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            canon = min(
-                tuple(sorted((p[a], p[b]) for a, b in rel))
-                for p in permutations(range(n))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            sized.append(canon)
-        for canon in sorted(sized):
-            labels = [f"p{i}" for i in range(n)]
+        for rel in level:
+            for down in range(2 ** new):
+                if any(down >> b & 1 and not down >> a & 1 for a, b in rel):
+                    continue
+                grown = list(rel) + [(a, new) for a in range(new) if down >> a & 1]
+                seen.add(min(tuple(sorted((p[a], p[b]) for a, b in grown)) for p in permutations(range(n))))
+        level = sorted(seen)
+        labels = [f"p{i}" for i in range(n)]
+        for canon in level:
             out.append(FinPoset.from_covers(labels, [(labels[a], labels[b]) for a, b in canon]))
     return out
 
@@ -543,7 +536,12 @@ def build_corpus(
     """Deterministic model corpus: every poset up to the point bound, a
     cycle of domain sizes, sampled valuations (some two-valued), and a
     bounded family of frames per algebra including the identity
-    singleton."""
+    singleton.
+
+    Both generators are closed forms, so the corpus holds every poset
+    class (`all_posets`) and, per algebra, all 2^|P| nuclei
+    (`enumerate_nuclei`), each in a fixed canonical order.  The frame
+    sampling and the per-poset RNG seeds depend on those orders."""
     scenes = []
     posets = all_posets(point_bound)
     for pidx, p in enumerate(posets):

@@ -36,6 +36,13 @@ def test_nuclei_command(capsys):
     assert {tuple(n["table"]) for n in report["nuclei"]} == {(0, 1), (1, 1)}
 
 
+@pytest.mark.parametrize("spec", ["chain:x", "chain:-1", "antichain:-2"])
+def test_nuclei_rejects_malformed_poset_spec(capsys, spec):
+    code, out, err = run(capsys, "nuclei", "--poset", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_translate_golden(capsys):
     code, out, _ = run(capsys, "translate", "--style", "gg", "R(x) -> Q(x)")
     assert code == 0

@@ -2,6 +2,7 @@
 suites, and the countermodel search."""
 
 import json
+from itertools import permutations
 
 import pytest
 
@@ -134,11 +135,39 @@ def test_top_nucleus_forces_everything():
         assert ev.forcing(parse(src), jt, frame, (("x", 0), ("y", 0))) == m.algebra.top
 
 
+def _reference_posets(max_points):
+    """Brute-force reference for `all_posets`: every strict relation on
+    n labelled points, filtered to the transitive antisymmetric ones and
+    deduplicated by canonical form (least sorted pair list over all
+    relabellings), listed in canonical-form order."""
+    out = []
+    for n in range(1, max_points + 1):
+        pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
+        seen = set()
+        for bits in range(2 ** len(pairs)):
+            rel = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
+            if any((b, a) in rel for a, b in rel):
+                continue
+            if any((b, c) in rel and (a, c) not in rel for a, b in rel for c in range(n)):
+                continue
+            seen.add(min(tuple(sorted((p[a], p[b]) for a, b in rel)) for p in permutations(range(n))))
+        labels = [f"p{i}" for i in range(n)]
+        for canon in sorted(seen):
+            out.append(FinPoset.from_covers(labels, [(labels[a], labels[b]) for a, b in canon]))
+    return out
+
+
 def test_all_posets_counts():
-    # numbers of posets on 1..4 unlabeled points
-    sizes = [len(p.elements) for p in all_posets(4)]
-    assert [sizes.count(n) for n in (1, 2, 3, 4)] == [1, 2, 5, 16]
+    # OEIS A000112: numbers of posets on 1..6 unlabeled points
+    sizes = [len(p.elements) for p in all_posets(6)]
+    assert [sizes.count(n) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
     assert len(all_posets(4)) == 24
+
+
+def test_all_posets_matches_brute_force_reference():
+    got = all_posets(4)
+    want = _reference_posets(4)
+    assert [(p.elements, p.leq) for p in got] == [(p.elements, p.leq) for p in want]
 
 
 def test_all_posets_are_valid_and_distinct():

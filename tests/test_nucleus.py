@@ -1,10 +1,12 @@
 """Tests for nucleus recognition, enumeration, and frames."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from nucforce.algebra import FinPoset, three_chain, two_element, upset_algebra
+from nucforce.hmodel import all_posets
 from nucforce.nucleus import (
     LopFrame,
     Nucleus,
@@ -88,13 +90,27 @@ def test_enumeration_matches_oracle_on_three_point_posets():
 
 
 def test_enumeration_matches_oracle_past_the_endomap_scan_limit():
-    # 6-point chain gives a 7-element algebra, handled by the
-    # irreducible-assignment path rather than the direct endomap scan
+    # a 6-point chain gives a 7-element algebra whose six elements below
+    # top are all meet-irreducible, so all 2^6 subsets give a nucleus
     h = upset_algebra(FinPoset.chain(6))
     found = enumerate_nuclei(h)
     assert {j.table for j in found} == _oracle_nuclei(h)
     # on a chain algebra of size n there are 2^(n-1) nuclei
     assert len(found) == 2 ** (h.size - 1)
+
+
+def test_upset_algebras_have_one_nucleus_per_subset_of_points():
+    for p in all_posets(5):
+        tables = [j.table for j in enumerate_nuclei(upset_algebra(p))]
+        assert len(tables) == 2 ** len(p.elements)
+        assert all(a < b for a, b in zip(tables, tables[1:]))
+
+
+def test_enumeration_needs_no_upset_masks():
+    for p in all_posets(3) + [FinPoset.chain(5)]:
+        h = upset_algebra(p)
+        bare = replace(h, masks=None)
+        assert [j.table for j in enumerate_nuclei(bare)] == [j.table for j in enumerate_nuclei(h)]
 
 
 def test_nucleus_constructor_rejects_non_nucleus():
