@@ -56,7 +56,6 @@ from .translate import (
     kuroda_forcing_translate,
     kuroda_wrapped_translate,
     parse_mformula,
-    print_mformula,
 )
 from .hmodel import (
     Corpus,

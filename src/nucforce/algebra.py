@@ -42,16 +42,16 @@ class FinPoset:
         for a, b in covers:
             if a not in known or b not in known:
                 raise AlgebraError(f"cover ({a!r}, {b!r}) mentions unknown element")
-        rel = {(e, e) for e in elems}
-        rel.update((a, b) for a, b in covers)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+        # one Warshall pass: bit j of up[i] says elems[i] <= elems[j]
+        idx = {e: i for i, e in enumerate(elems)}
+        up = [1 << i for i in range(len(elems))]
+        for a, b in covers:
+            up[idx[a]] |= 1 << idx[b]
+        for k in range(len(elems)):
+            for i in range(len(elems)):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        rel = {(a, b) for a, ua in zip(elems, up) for j, b in enumerate(elems) if ua >> j & 1}
         return FinPoset(elems, frozenset(rel))
 
     @staticmethod

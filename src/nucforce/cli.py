@@ -18,7 +18,7 @@ import sys
 from .algebra import AlgebraError, FinPoset, load_poset, upset_algebra
 from .formula import FormulaError, parse, print_formula
 from .nucleus import NucleusError, enumerate_nuclei, is_dense
-from .translate import TRANSLATIONS, print_mformula
+from .translate import TRANSLATIONS
 from .hmodel import (
     HModelError,
     SEARCH_TARGETS,
@@ -113,7 +113,7 @@ def cmd_nuclei(args) -> int:
 def cmd_translate(args) -> int:
     fn = TRANSLATIONS[args.style]
     phi = parse(args.formula)
-    text = print_mformula(fn(phi))
+    text = print_formula(fn(phi))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -162,6 +162,8 @@ def parse_code(text: str) -> int:
     pos = [0]
 
     def atom():
+        if pos[0] >= len(tokens):
+            raise CliError("code term ends early")
         tok = tokens[pos[0]]
         pos[0] += 1
         if tok == "(":

@@ -4,6 +4,12 @@ The term signature is {0, S, +, *, -.} plus numerals.  Atoms are either
 uninterpreted relation symbols (used by the lattice-model backend) or
 the arithmetic atoms t = t and StepHalt(e, x, w) (used by the machine
 backend).  `~p` is sugar for `p -> bot` and `bot` is falsum.
+
+The same AST carries the modal language that the translations target:
+Mod(j, phi), printed `[j]phi`, applies the nucleus named j to the value
+of phi, and GuardAll(k, P, j, phi), printed `all k>=j in P. phi`,
+quantifies k over the members of frame P above j.  The printer,
+`free_vars` and `subst` handle both; the plain parser rejects them.
 """
 
 from __future__ import annotations
@@ -118,6 +124,43 @@ class Forall(Formula):
 class Exists(Formula):
     var: str
     body: Formula
+
+
+@dataclass(frozen=True, repr=False)
+class Mod(Formula):
+    """Modal node: the nucleus bound to `nvar` applied to the body's value."""
+
+    nvar: str
+    body: Formula
+
+
+@dataclass(frozen=True, repr=False)
+class GuardAll(Formula):
+    """Modal node: for every member `kvar` of frame `frame` above `above`, body."""
+
+    kvar: str
+    frame: str
+    above: str
+    body: Formula
+
+
+def _node_hash(self) -> int:
+    """Structural hash, computed on first use and kept on the node.
+
+    Memo tables key on translated formulas, so a node is hashed many
+    times; caching turns each later hash into one attribute read (a light
+    form of hash-consing).  Equality stays the dataclass field compare.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash((type(self).__name__,) + tuple(getattr(self, f) for f in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+for _node in (Bot, Atom, Eq, And, Or, Imp, Forall, Exists, Mod, GuardAll):
+    _node.__hash__ = _node_hash
 
 
 BOT = Bot()
@@ -373,8 +416,9 @@ def print_term(t: Term, level: int = 0) -> str:
 def print_formula(phi: Formula, level: int = 0) -> str:
     """Render with minimal parentheses; parse(print_formula(x)) == x.
 
-    Levels: 0 implication/quantifier, 1 disjunction, 2 conjunction,
-    3 negation and atoms.
+    Levels: 0 implication/quantifier/guard, 1 disjunction, 2 conjunction,
+    3 negation, modality and atoms.  Modal output round-trips through
+    `translate.parse_mformula` instead.
     """
     if isinstance(phi, Bot):
         return "bot"
@@ -397,7 +441,12 @@ def print_formula(phi: Formula, level: int = 0) -> str:
         q = "forall" if isinstance(phi, Forall) else "exists"
         s = f"{q} {phi.var}. {print_formula(phi.body, 0)}"
         return f"({s})" if level > 0 else s
-    raise FormulaError(f"cannot print {phi!r}")
+    if isinstance(phi, Mod):
+        return f"[{phi.nvar}]" + print_formula(phi.body, 3)
+    if isinstance(phi, GuardAll):
+        s = f"all {phi.kvar}>={phi.above} in {phi.frame}. {print_formula(phi.body, 0)}"
+        return f"({s})" if level > 0 else s
+    raise FormulaError(f"cannot print node of type {type(phi).__name__}")
 
 
 # ------------------------------------------------- structural utilities
@@ -426,7 +475,9 @@ def free_vars(phi: Formula) -> set[str]:
         return free_vars(phi.left) | free_vars(phi.right)
     if isinstance(phi, (Forall, Exists)):
         return free_vars(phi.body) - {phi.var}
-    raise FormulaError(f"unknown formula node {phi!r}")
+    if isinstance(phi, (Mod, GuardAll)):
+        return free_vars(phi.body)
+    raise FormulaError(f"unknown formula node of type {type(phi).__name__}")
 
 
 def subst_term(t: Term, env: dict[str, Term]) -> Term:
@@ -462,7 +513,11 @@ def subst(phi: Formula, env: dict[str, Term]) -> Formula:
             if phi.var in term_vars(v):
                 raise FormulaError(f"substitution would capture variable {phi.var}")
         return type(phi)(phi.var, subst(phi.body, inner))
-    raise FormulaError(f"unknown formula node {phi!r}")
+    if isinstance(phi, Mod):
+        return Mod(phi.nvar, subst(phi.body, env))
+    if isinstance(phi, GuardAll):
+        return GuardAll(phi.kvar, phi.frame, phi.above, subst(phi.body, env))
+    raise FormulaError(f"unknown formula node of type {type(phi).__name__}")
 
 
 def atoms_of(phi: Formula) -> set[tuple[str, int]]:

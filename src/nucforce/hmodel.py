@@ -4,8 +4,11 @@ A model is a finite Heyting algebra, a finite domain, and a table for
 each uninterpreted relation symbol.  Formulas evaluate to carrier
 elements; the modal language evaluates through nucleus tables, with
 guarded quantification realized as a meet over the frame members above
-the current nucleus.  The suite registry checks each property family
-over a generated corpus of models and reports failures with witnesses.
+the current nucleus.  `eval_m` is the plain recursive definition;
+`SceneEval` evaluates the output of each translation with one memo
+table and is what the suites use.  The suite registry checks each
+property family over a generated corpus of models and reports failures
+with witnesses.
 
 Quantifiers over truth values and over nuclei are instantiated at the
 carrier and at the enumerated nuclei respectively, so every suite
@@ -30,7 +33,9 @@ from .formula import (
     Exists,
     Forall,
     Formula,
+    GuardAll,
     Imp,
+    Mod,
     Or,
     STEP_HALT,
     Var,
@@ -38,6 +43,7 @@ from .formula import (
     neg,
     parse,
     print_formula,
+    universal_closure,
 )
 from .nucleus import (
     LopFrame,
@@ -49,7 +55,7 @@ from .nucleus import (
     named_nucleus,
     nucleus_le,
 )
-from .translate import GuardAll, Mod
+from .translate import TRANSLATIONS
 
 
 class HModelError(ValueError):
@@ -171,22 +177,28 @@ def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind:
 
 
 class SceneEval:
-    """Memoized evaluators for one model.
+    """Memoized evaluator of translated formulas for one model.
 
-    The fused recursions below compute the same values as translating
-    first and then calling eval_m; a dedicated test compares the two
-    paths.  Caching is keyed by node identity, nucleus, frame, and
-    environment, which keeps suite runs near-linear in distinct
-    subproblems.
+    `value(style, phi, j, env, frame)` is the value of
+    `TRANSLATIONS[style](phi)` with the nucleus variable j bound to `j`
+    and the frame P bound to `frame`, the same number `eval_m` computes;
+    a dedicated test compares the two.
+
+    Every node of a translated formula has at most one free nucleus
+    variable, the current nucleus: j at the root, rebound to the guard's
+    k throughout a GuardAll body.  A node's value therefore depends only
+    on the node, the current nucleus, the frame, and the environment, and
+    that tuple is the memo key.  Formula nodes cache their structural
+    hash, so hashing a key does not walk the formula.  Mod is not
+    memoized: it is one table lookup on a memoized child.
     """
 
     def __init__(self, model: HModel):
         self.m = model
         self.h = model.algebra
         self._plain: dict = {}
-        self._gg: dict = {}
-        self._fc: dict = {}
-        self._ku: dict = {}
+        self._memo: dict = {}
+        self._translated: dict = {}
         self._up: dict = {}
 
     # -------------------------------------------------- base evaluators
@@ -206,90 +218,45 @@ class SceneEval:
             self._plain[key] = got
         return got
 
-    def gg(self, phi: Formula, j: Nucleus, env: Env = ()) -> int:
-        """Value of the nucleus translation of phi at j."""
-        key = (phi, j, env)
-        got = self._gg.get(key)
-        if got is not None:
-            return got
-        h = self.h
-        if isinstance(phi, (Atom, Bot)):
-            v = j(self.plain(phi, env))
-        elif isinstance(phi, And):
-            v = h.meet[self.gg(phi.left, j, env)][self.gg(phi.right, j, env)]
-        elif isinstance(phi, Or):
-            v = j(h.join[self.gg(phi.left, j, env)][self.gg(phi.right, j, env)])
-        elif isinstance(phi, Imp):
-            v = h.imp[self.gg(phi.left, j, env)][self.gg(phi.right, j, env)]
-        elif isinstance(phi, Exists):
-            v = j(h.join_all(self.gg(phi.body, j, env_set(env, phi.var, d)) for d in self.m.domain))
-        elif isinstance(phi, Forall):
-            v = h.meet_all(self.gg(phi.body, j, env_set(env, phi.var, d)) for d in self.m.domain)
-        else:
-            raise HModelError(f"cannot evaluate node {phi!r}")
-        self._gg[key] = v
-        return v
+    def value(self, style: str, phi: Formula, j: Nucleus, env: Env = (), frame: LopFrame | None = None) -> int:
+        """Value of the named translation of phi at j (over the frame)."""
+        return self._eval(self.translated(style, phi), j, frame, env)
 
-    def forcing(self, phi: Formula, j: Nucleus, frame: LopFrame, env: Env = ()) -> int:
-        """Value of the forcing translation of phi at j over the frame."""
-        key = (phi, j, frame, env)
-        got = self._fc.get(key)
-        if got is not None:
-            return got
-        h = self.h
-        if isinstance(phi, (Atom, Bot)):
-            v = j(self.plain(phi, env))
-        elif isinstance(phi, And):
-            v = h.meet[self.forcing(phi.left, j, frame, env)][self.forcing(phi.right, j, frame, env)]
-        elif isinstance(phi, Or):
-            v = j(h.join[self.forcing(phi.left, j, frame, env)][self.forcing(phi.right, j, frame, env)])
-        elif isinstance(phi, Imp):
-            v = h.meet_all(
-                h.imp[self.forcing(phi.left, k, frame, env)][self.forcing(phi.right, k, frame, env)]
-                for k in self.up(frame, j)
-            )
-        elif isinstance(phi, Exists):
-            v = j(h.join_all(self.forcing(phi.body, j, frame, env_set(env, phi.var, d)) for d in self.m.domain))
-        elif isinstance(phi, Forall):
-            v = h.meet_all(
-                self.forcing(phi.body, k, frame, env_set(env, phi.var, d))
-                for k in self.up(frame, j)
-                for d in self.m.domain
-            )
-        else:
-            raise HModelError(f"cannot evaluate node {phi!r}")
-        self._fc[key] = v
-        return v
+    def translated(self, style: str, phi: Formula) -> Formula:
+        """`TRANSLATIONS[style](phi)`, built once per evaluator."""
+        key = (style, phi)
+        t = self._translated.get(key)
+        if t is None:
+            t = self._translated[key] = TRANSLATIONS[style](phi)
+        return t
 
-    def kuroda(self, phi: Formula, j: Nucleus, frame: LopFrame, env: Env = ()) -> int:
-        """Value of the Kuroda-style variant (without the outer modality)."""
-        key = (phi, j, frame, env)
-        got = self._ku.get(key)
+    def _eval(self, node: Formula, j: Nucleus, frame: LopFrame | None, env: Env) -> int:
+        if type(node) is Mod:
+            return j.table[self._eval(node.body, j, frame, env)]
+        if type(node) is Atom or type(node) is Bot:
+            return self.plain(node, env)
+        key = (node, j, frame, env)
+        got = self._memo.get(key)
         if got is not None:
             return got
         h = self.h
-        if isinstance(phi, (Atom, Bot)):
-            v = self.plain(phi, env)
-        elif isinstance(phi, And):
-            v = h.meet[self.kuroda(phi.left, j, frame, env)][self.kuroda(phi.right, j, frame, env)]
-        elif isinstance(phi, Or):
-            v = h.join[self.kuroda(phi.left, j, frame, env)][self.kuroda(phi.right, j, frame, env)]
-        elif isinstance(phi, Imp):
-            v = h.meet_all(
-                h.imp[self.kuroda(phi.left, k, frame, env)][k(self.kuroda(phi.right, k, frame, env))]
-                for k in self.up(frame, j)
-            )
-        elif isinstance(phi, Exists):
-            v = h.join_all(self.kuroda(phi.body, j, frame, env_set(env, phi.var, d)) for d in self.m.domain)
-        elif isinstance(phi, Forall):
-            v = h.meet_all(
-                k(self.kuroda(phi.body, k, frame, env_set(env, phi.var, d)))
-                for k in self.up(frame, j)
-                for d in self.m.domain
-            )
+        if isinstance(node, And):
+            v = h.meet[self._eval(node.left, j, frame, env)][self._eval(node.right, j, frame, env)]
+        elif isinstance(node, Or):
+            v = h.join[self._eval(node.left, j, frame, env)][self._eval(node.right, j, frame, env)]
+        elif isinstance(node, Imp):
+            v = h.imp[self._eval(node.left, j, frame, env)][self._eval(node.right, j, frame, env)]
+        elif isinstance(node, GuardAll):
+            if frame is None:
+                raise HModelError(f"guard over {node.frame} needs a frame")
+            v = h.meet_all(self._eval(node.body, k, frame, env) for k in self.up(frame, j))
+        elif isinstance(node, Forall):
+            v = h.meet_all(self._eval(node.body, j, frame, env_set(env, node.var, d)) for d in self.m.domain)
+        elif isinstance(node, Exists):
+            v = h.join_all(self._eval(node.body, j, frame, env_set(env, node.var, d)) for d in self.m.domain)
         else:
-            raise HModelError(f"cannot evaluate node {phi!r}")
-        self._ku[key] = v
+            raise HModelError(f"cannot evaluate node {node!r}")
+        self._memo[key] = v
         return v
 
     # ------------------------------------------------ derived operators
@@ -311,39 +278,40 @@ class SceneEval:
         return h.meet_all(self.biimp(j(p), k(p)) for p in h.carrier)
 
     # ------------------------------------------------- named predicates
+    # Each translates phi once and evaluates the tree per nucleus and env.
     def equiv_val(self, phi: Formula, frame: LopFrame) -> int:
-        h = self.h
+        h, fc, gg = self.h, self.translated("forcing", phi), self.translated("gg", phi)
         return h.meet_all(
-            self.biimp(self.forcing(phi, j, frame, env), self.gg(phi, j, env))
+            self.biimp(self._eval(fc, j, frame, env), self._eval(gg, j, None, env))
             for j in frame.members
             for env in self.envs(phi)
         )
 
     def mono_val(self, phi: Formula, frame: LopFrame) -> int:
-        h = self.h
+        h, gg = self.h, self.translated("gg", phi)
         return h.meet_all(
-            h.imp[self.gg(phi, j, env)][self.gg(phi, k, env)]
+            h.imp[self._eval(gg, j, None, env)][self._eval(gg, k, None, env)]
             for j in frame.members
             for env in self.envs(phi)
             for k in self.up(frame, j)
         )
 
     def nono_val(self, phi: Formula, frame: LopFrame) -> int:
-        h = self.h
+        h, gg = self.h, self.translated("gg", phi)
         return h.meet_all(
-            h.imp[self.gg(phi, k, env)][self.gg(phi, j, env)]
+            h.imp[self._eval(gg, k, None, env)][self._eval(gg, j, None, env)]
             for j in frame.members
             for env in self.envs(phi)
             for k in self.up(frame, j)
         )
 
     def trp_val(self, phi: Formula, j: Nucleus, k: Nucleus) -> int:
-        h = self.h
-        return h.meet_all(self.biimp(k(self.gg(phi, j, env)), self.gg(phi, k, env)) for env in self.envs(phi))
+        h, gg = self.h, self.translated("gg", phi)
+        return h.meet_all(self.biimp(k(self._eval(gg, j, None, env)), self._eval(gg, k, None, env)) for env in self.envs(phi))
 
     def cl_val(self, phi: Formula, j: Nucleus, k: Nucleus) -> int:
-        h = self.h
-        return h.meet_all(self.biimp(self.gg(phi, j, env), k(self.gg(phi, j, env))) for env in self.envs(phi))
+        h, gg = self.h, self.translated("gg", phi)
+        return h.meet_all(self.biimp(self._eval(gg, j, None, env), k(self._eval(gg, j, None, env))) for env in self.envs(phi))
 
 
 class ForcingLEval:
@@ -587,7 +555,10 @@ def load_model(path: str) -> Scene:
                 for i, sub in enumerate(node):
                     walk(sub, prefix + (i,))
             else:
-                table[prefix] = int(node)
+                try:
+                    table[prefix] = int(node)
+                except (TypeError, ValueError):
+                    raise HModelError(f"{path}: atom {rel} entry {list(prefix)} is {node!r}, not an integer") from None
 
         walk(nested, ())
         atom_val[rel] = table
@@ -817,7 +788,7 @@ def _suite_maximal_collapse(corpus: Corpus) -> SuiteReport:
                 for phi in SMALL_SHAPES:
                     for env in ev.envs(phi):
                         run.check_le(h, ante,
-                                     ev.biimp(ev.forcing(phi, j, frame, env), ev.gg(phi, j, env)),
+                                     ev.biimp(ev.value("forcing", phi, j, env, frame), ev.value("gg", phi, j, env)),
                                      **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
     return run.report
 
@@ -831,7 +802,7 @@ def _suite_jclosed(corpus: Corpus) -> SuiteReport:
             for j in _scene_nuclei(scene):
                 for phi in GENERAL_SHAPES:
                     for env in ev.envs(phi):
-                        v = ev.forcing(phi, j, frame, env)
+                        v = ev.value("forcing", phi, j, env, frame)
                         run.check_eq(h, j(v), v,
                                      **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
     return run.report
@@ -849,9 +820,9 @@ def _suite_monotonicity(corpus: Corpus) -> SuiteReport:
                     continue
                 for phi in GENERAL_SHAPES:
                     for env in ev.envs(phi):
-                        vj = ev.forcing(phi, j, frame, env)
+                        vj = ev.value("forcing", phi, j, env, frame)
                         for k in ups:
-                            run.check_le(h, vj, ev.forcing(phi, k, frame, env),
+                            run.check_le(h, vj, ev.value("forcing", phi, k, env, frame),
                                          **_wit(scene, frame=frame, j=j, k=k, formula=phi, env=list(env)))
     return run.report
 
@@ -865,8 +836,8 @@ def _suite_jinp_monotonicity(corpus: Corpus) -> SuiteReport:
             for j in frame.members:
                 for phi in GENERAL_SHAPES:
                     for env in ev.envs(phi):
-                        lhs = ev.forcing(phi, j, frame, env)
-                        rhs = h.meet_all(ev.forcing(phi, k, frame, env) for k in ev.up(frame, j))
+                        lhs = ev.value("forcing", phi, j, env, frame)
+                        rhs = h.meet_all(ev.value("forcing", phi, k, env, frame) for k in ev.up(frame, j))
                         run.check_eq(h, lhs, rhs,
                                      **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
     return run.report
@@ -881,11 +852,8 @@ def _suite_constant_domain(corpus: Corpus) -> SuiteReport:
         for frame in scene.frames:
             for j in frame.members:
                 for phi in shapes:
-                    closed = phi
-                    for v in sorted(free_vars(phi), reverse=True):
-                        closed = Forall(v, closed)
-                    lhs = h.meet_all(ev.forcing(phi, j, frame, env) for env in ev.envs(phi))
-                    run.check_eq(h, lhs, ev.forcing(closed, j, frame, ()),
+                    lhs = h.meet_all(ev.value("forcing", phi, j, env, frame) for env in ev.envs(phi))
+                    run.check_eq(h, lhs, ev.value("forcing", universal_closure(phi), j, (), frame),
                                  **_wit(scene, frame=frame, j=j, formula=phi))
     return run.report
 
@@ -899,7 +867,7 @@ def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
             for j in _scene_nuclei(scene):
                 for phi in IQC_AXIOMS:
                     for env in ev.envs(phi):
-                        run.check_eq(h, ev.forcing(phi, j, frame, env), h.top,
+                        run.check_eq(h, ev.value("forcing", phi, j, env, frame), h.top,
                                      **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
             # rule closure needs both monotonicity directions, so the
             # lower nucleus must itself be a frame member
@@ -910,21 +878,21 @@ def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
                         fv |= free_vars(f)
                     for point in product(scene.model.domain, repeat=len(fv)):
                         env = tuple(sorted(zip(sorted(fv), point)))
-                        pv = h.meet_all(ev.forcing(f, j, frame, env) for f in premises)
-                        run.check_le(h, pv, ev.forcing(conclusion, j, frame, env),
+                        pv = h.meet_all(ev.value("forcing", f, j, env, frame) for f in premises)
+                        run.check_le(h, pv, ev.value("forcing", conclusion, j, env, frame),
                                      **_wit(scene, frame=frame, j=j, formula=conclusion, env=list(env)))
                 # quantifier rules, with the side formula closed
                 psi = _p("exists z. R(z)")
                 body = _p("Q(y)")
                 lhs = h.meet_all(
-                    ev.forcing(Imp(psi, body), j, frame, (("y", d),)) for d in scene.model.domain
+                    ev.value("forcing", Imp(psi, body), j, (("y", d),), frame) for d in scene.model.domain
                 )
-                run.check_le(h, lhs, ev.forcing(Imp(psi, Forall("y", body)), j, frame, ()),
+                run.check_le(h, lhs, ev.value("forcing", Imp(psi, Forall("y", body)), j, (), frame),
                              **_wit(scene, frame=frame, j=j, formula=Imp(psi, Forall("y", body))))
                 lhs = h.meet_all(
-                    ev.forcing(Imp(body, psi), j, frame, (("y", d),)) for d in scene.model.domain
+                    ev.value("forcing", Imp(body, psi), j, (("y", d),), frame) for d in scene.model.domain
                 )
-                run.check_le(h, lhs, ev.forcing(Imp(Exists("y", body), psi), j, frame, ()),
+                run.check_le(h, lhs, ev.value("forcing", Imp(Exists("y", body), psi), j, (), frame),
                              **_wit(scene, frame=frame, j=j, formula=Imp(Exists("y", body), psi)))
     return run.report
 
@@ -942,7 +910,7 @@ def _suite_literal_class(corpus: Corpus) -> SuiteReport:
         for phi in LITERAL_SHAPES:
             for env in ev.envs(phi):
                 rhs = h.meet_all(
-                    ev.forcing(phi, j, frame, env)
+                    ev.value("forcing", phi, j, env, frame)
                     for frame in frames
                     for j in _scene_nuclei(scene)
                 )
@@ -969,7 +937,7 @@ def _suite_forcingL_equiv(corpus: Corpus) -> SuiteReport:
                         uenv = tuple(sorted(
                             (name, evl.unit(j, evl.singleton(d))) for name, d in env
                         ))
-                        run.check_eq(h, evl.value(phi, j, uenv), ev.forcing(phi, j, frame, env),
+                        run.check_eq(h, evl.value(phi, j, uenv), ev.value("forcing", phi, j, env, frame),
                                      **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
     run.report.notes.append(
         f"restricted to algebras with <= 8 elements and domains <= 2 ({kept} scenes)")
@@ -985,7 +953,7 @@ def _suite_kuroda_gg(corpus: Corpus) -> SuiteReport:
             for j in _scene_nuclei(scene):
                 for phi in GENERAL_SHAPES:
                     for env in ev.envs(phi):
-                        run.check_eq(h, j(ev.kuroda(phi, j, frame, env)), ev.forcing(phi, j, frame, env),
+                        run.check_eq(h, j(ev.value("kuroda", phi, j, env, frame)), ev.value("forcing", phi, j, env, frame),
                                      **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
     return run.report
 
@@ -1024,13 +992,6 @@ def _suite_emn(corpus: Corpus) -> SuiteReport:
     return run.report
 
 
-def _closure(phi: Formula) -> Formula:
-    out = phi
-    for v in sorted(free_vars(phi), reverse=True):
-        out = Forall(v, out)
-    return out
-
-
 def _suite_mndneg(corpus: Corpus) -> SuiteReport:
     run = _Run("mndneg")
     for scene in corpus.scenes:
@@ -1040,8 +1001,8 @@ def _suite_mndneg(corpus: Corpus) -> SuiteReport:
             for phi in MIXED_SHAPES:
                 np, nnp = neg(phi), neg(neg(phi))
                 e = ev.equiv_val(phi, frame)
-                lem = _closure(Or(phi, np))
-                dne = _closure(Imp(nnp, phi))
+                lem = universal_closure(Or(phi, np))
+                dne = universal_closure(Imp(nnp, phi))
                 run.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
                              **_wit(scene, item=1, frame=frame, formula=phi))
                 run.check_le(h, h.meet_all([e, ev.mono_val(nnp, frame), ev.nono_val(nnp, frame)]),
@@ -1094,14 +1055,14 @@ def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
         ev = SceneEval(scene.model)
         h = ev.h
         dense = [j for j in _scene_nuclei(scene) if is_dense(j)]
-        dne_atom = _closure(Imp(neg(neg(atom)), atom))
+        dne_atom = universal_closure(Imp(neg(neg(atom)), atom))
         for j in dense:
-            run.check_le(h, ev.plain(dne_atom, ()), ev.gg(dne_atom, j, ()),
+            run.check_le(h, ev.plain(dne_atom, ()), ev.value("gg", dne_atom, j),
                          **_wit(scene, item=1, j=j))
             for k in dense:
                 for phi in MIXED_SHAPES:
-                    dne = _closure(Imp(neg(neg(phi)), phi))
-                    run.check_le(h, ev.gg(dne, j, ()), ev.cl_val(phi, j, k),
+                    dne = universal_closure(Imp(neg(neg(phi)), phi))
+                    run.check_le(h, ev.value("gg", dne, j), ev.cl_val(phi, j, k),
                                  **_wit(scene, item=2, j=j, k=k, formula=phi))
     return run.report
 
@@ -1163,8 +1124,8 @@ def _suite_sufcon(corpus: Corpus) -> SuiteReport:
                 ante = h.meet_all(ev.le_val(j, k) for k in frame.members)
                 for label, shapes in classes:
                     for phi in shapes:
-                        dne = _closure(Imp(neg(neg(phi)), phi))
-                        lem = _closure(Or(phi, neg(phi)))
+                        dne = universal_closure(Imp(neg(neg(phi)), phi))
+                        lem = universal_closure(Or(phi, neg(phi)))
                         run.check_le(h, ante, ev.equiv_val(dne, frame),
                                      **_wit(scene, cls=label, ax="DNE", frame=frame, j=j, formula=phi))
                         run.check_le(h, ante, ev.equiv_val(lem, frame),

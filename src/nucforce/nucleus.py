@@ -69,6 +69,12 @@ class LopFrame:
         for m in self.members:
             if m.algebra is not self.algebra:
                 raise NucleusError("frame member on a different algebra")
+        # frames key memo tables; hashing the algebra's tables on every
+        # lookup would dominate, so hash the member tables once
+        object.__setattr__(self, "_hash", hash(tuple(tables)))
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.members)

@@ -220,7 +220,10 @@ class Oracle:
 
     @staticmethod
     def from_dict(label: str, mapping: dict) -> "Oracle":
-        return Oracle(label, tuple(sorted((int(k), int(v)) for k, v in mapping.items())))
+        try:
+            return Oracle(label, tuple(sorted((int(k), int(v)) for k, v in mapping.items())))
+        except (AttributeError, TypeError, ValueError):
+            raise RealizabilityError(f"oracle {label!r}: the table must map integers to integers") from None
 
     def get(self, n: int) -> int | None:
         for k, v in self.table:
@@ -261,8 +264,10 @@ class OraclePoset:
 def load_oracle(path: str) -> Oracle:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise RealizabilityError(f"{path}: an oracle file holds a JSON object")
     label = data.get("label", path)
-    return Oracle.from_dict(label, data.get("table", data if isinstance(data, dict) and "table" not in data else {}))
+    return Oracle.from_dict(label, data.get("table", data))
 
 
 def load_oracle_poset(path: str) -> OraclePoset:
@@ -272,8 +277,16 @@ def load_oracle_poset(path: str) -> OraclePoset:
     """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("oracles"), list):
+        raise RealizabilityError(f"{path}: an oracle poset file needs an 'oracles' list")
+    if not all(isinstance(o, dict) and "table" in o for o in data["oracles"]):
+        raise RealizabilityError(f"{path}: every oracle needs a 'table'")
     oracles = tuple(Oracle.from_dict(o.get("label", f"o{i}"), o["table"]) for i, o in enumerate(data["oracles"]))
-    for a, b in data.get("edges", []):
+    for edge in data.get("edges", []):
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(isinstance(i, int) and 0 <= i < len(oracles) for i in edge)):
+            raise RealizabilityError(f"{path}: edge {edge!r} is not a pair of oracle indices")
+        a, b = edge
         if not oracles[b].extends(oracles[a]):
             raise RealizabilityError(f"declared edge ({a}, {b}) is not an extension")
     return OraclePoset(oracles)

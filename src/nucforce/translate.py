@@ -1,18 +1,22 @@
-"""Syntactic translations into a modal formula language.
+"""Syntactic translations into the modal formula language.
 
-The target language extends the first-order language with two nodes:
-Mod(j, phi) applies the nucleus named j to the truth value of phi, and
-GuardAll(k, P, j, phi) quantifies k over the members of the frame P
-that lie above j.  Three translations are provided: the plain nucleus
-translation (atoms, disjunctions, and existentials get Mod), the
-forcing translation (implications and universals additionally guard
-over the frame), and the Kuroda-style variant (atoms untouched, the
-modality lands on consequents and under universals).
+The target language is the first-order AST of `formula` with its two
+modal nodes: Mod(j, phi) applies the nucleus named j to the truth value
+of phi, and GuardAll(k, P, j, phi) quantifies k over the members of the
+frame P that lie above j.  `formula.print_formula` and `formula.subst`
+handle both; this module adds the parser for the modal surface syntax.
+Three translations are provided: the plain nucleus translation (atoms,
+disjunctions, and existentials get Mod), the forcing translation
+(implications and universals additionally guard over the frame), and
+the Kuroda-style variant (atoms untouched, the modality lands on
+consequents and under universals).
+
+In every output each node has at most one free nucleus variable: j at
+the root, and the guard's k throughout a GuardAll body.
+`hmodel.SceneEval` relies on this to memoize by the current nucleus.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .formula import (
     And,
@@ -23,32 +27,12 @@ from .formula import (
     Forall,
     Formula,
     FormulaError,
+    GuardAll,
     Imp,
+    Mod,
     Or,
     Parser,
-    Term,
-    print_term,
-    subst_term,
-    term_vars,
 )
-
-
-@dataclass(frozen=True, repr=False)
-class Mod(Formula):
-    """Application of the nucleus bound to `nvar` to the body's value."""
-
-    nvar: str
-    body: Formula
-
-
-@dataclass(frozen=True, repr=False)
-class GuardAll(Formula):
-    """For every member `kvar` of frame `frame` above `above`: body."""
-
-    kvar: str
-    frame: str
-    above: str
-    body: Formula
 
 
 def _guard_name(depth: int) -> str:
@@ -136,41 +120,10 @@ TRANSLATIONS = {
 }
 
 
-# -------------------------------------------------------------- printing
-
-def print_mformula(phi: Formula, level: int = 0) -> str:
-    """Extended printer: `[j]phi` for Mod, `all k>=j in P. phi` for GuardAll."""
-    if isinstance(phi, Mod):
-        return f"[{phi.nvar}]" + print_mformula(phi.body, 3)
-    if isinstance(phi, GuardAll):
-        s = f"all {phi.kvar}>={phi.above} in {phi.frame}. {print_mformula(phi.body, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(phi, Bot):
-        return "bot"
-    if isinstance(phi, Atom):
-        return f"{phi.rel}({', '.join(print_term(a) for a in phi.args)})"
-    if isinstance(phi, Eq):
-        return f"{print_term(phi.left)} = {print_term(phi.right)}"
-    if isinstance(phi, Imp):
-        if phi.right == Bot():
-            return "~" + print_mformula(phi.left, 3)
-        s = f"{print_mformula(phi.left, 1)} -> {print_mformula(phi.right, 0)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(phi, Or):
-        s = f"{print_mformula(phi.left, 1)} \\/ {print_mformula(phi.right, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(phi, And):
-        s = f"{print_mformula(phi.left, 2)} /\\ {print_mformula(phi.right, 3)}"
-        return f"({s})" if level > 2 else s
-    if isinstance(phi, (Forall, Exists)):
-        q = "forall" if isinstance(phi, Forall) else "exists"
-        s = f"{q} {phi.var}. {print_mformula(phi.body, 0)}"
-        return f"({s})" if level > 0 else s
-    raise FormulaError(f"cannot print {phi!r}")
-
+# --------------------------------------------------------------- parsing
 
 class MParser(Parser):
-    """Parser for the modal surface syntax; round-trips print_mformula."""
+    """Parser for the modal surface syntax; round-trips print_formula."""
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -199,42 +152,3 @@ class MParser(Parser):
 
 def parse_mformula(text: str) -> Formula:
     return MParser(text).parse()
-
-
-# ---------------------------------------------------------- substitution
-
-def subst_m(phi: Formula, env: dict[str, Term]) -> Formula:
-    """Substitute terms for free first-order variables in an MFormula."""
-    if not env:
-        return phi
-    if isinstance(phi, Mod):
-        return Mod(phi.nvar, subst_m(phi.body, env))
-    if isinstance(phi, GuardAll):
-        return GuardAll(phi.kvar, phi.frame, phi.above, subst_m(phi.body, env))
-    if isinstance(phi, Bot):
-        return phi
-    if isinstance(phi, Atom):
-        return Atom(phi.rel, tuple(subst_term(a, env) for a in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(subst_term(phi.left, env), subst_term(phi.right, env))
-    if isinstance(phi, (And, Or, Imp)):
-        return type(phi)(subst_m(phi.left, env), subst_m(phi.right, env))
-    if isinstance(phi, (Forall, Exists)):
-        inner = {k: v for k, v in env.items() if k != phi.var}
-        for v in inner.values():
-            if phi.var in term_vars(v):
-                raise FormulaError(f"substitution would capture variable {phi.var}")
-        return type(phi)(phi.var, subst_m(phi.body, inner))
-    raise FormulaError(f"unknown formula node {phi!r}")
-
-
-def mformula_size(phi: Formula) -> int:
-    if isinstance(phi, Mod):
-        return 1 + mformula_size(phi.body)
-    if isinstance(phi, GuardAll):
-        return 1 + mformula_size(phi.body)
-    if isinstance(phi, (And, Or, Imp)):
-        return 1 + mformula_size(phi.left) + mformula_size(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return 1 + mformula_size(phi.body)
-    return 1

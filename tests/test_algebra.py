@@ -1,6 +1,7 @@
 """Tests for finite posets and upset Heyting algebras."""
 
 import json
+import random
 from itertools import combinations, product
 
 import pytest
@@ -35,9 +36,28 @@ def test_antichain_poset_order():
         assert p.le(a, b) == (a == b)
 
 
+def _brute_force_closure(elements, covers):
+    rel = {(e, e) for e in elements} | set(covers)
+    while True:
+        grown = rel | {(a, d) for a, b in rel for c, d in rel if b == c}
+        if grown == rel:
+            return rel
+        rel = grown
+
+
 def test_from_covers_takes_transitive_closure():
     p = FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert p.le("a", "c")
+    rng = random.Random(7)
+    for n in range(1, 8):
+        labels = [f"e{i}" for i in range(n)]
+        for _ in range(30):
+            # covers go from lower to higher index in a shuffled labelling,
+            # so every random cover set is acyclic
+            order = rng.sample(labels, n)
+            covers = [(a, b) for a, b in combinations(order, 2) if rng.random() < 0.3]
+            got = FinPoset.from_covers(labels, covers)
+            assert got.leq == _brute_force_closure(labels, covers)
 
 
 def test_from_covers_rejects_unknown_element():

@@ -36,7 +36,7 @@ def test_nuclei_command(capsys):
     assert {tuple(n["table"]) for n in report["nuclei"]} == {(0, 1), (1, 1)}
 
 
-@pytest.mark.parametrize("spec", ["chain:x", "chain:-1", "antichain:-2"])
+@pytest.mark.parametrize("spec", ["chain:x", "chain:-1", "antichain:-2", "chain:100"])
 def test_nuclei_rejects_malformed_poset_spec(capsys, spec):
     code, out, err = run(capsys, "nuclei", "--poset", spec)
     assert code == 2 and out == ""
@@ -122,6 +122,38 @@ def test_realize_with_frame(capsys, tmp_path):
     code, out, _ = run(capsys, "realize", "--code", "(K 0)", "--formula",
                        "0 = 0 -> 0 = 0", "--oracle", oracle, "--frame", str(frame))
     assert code == 0 and json.loads(out)["verdict"] == "realized"
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+MALFORMED_INPUTS = {
+    "oracle-list": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                "--oracle", _write(tmp, "o.json", [[0, 1]])],
+    "frame-without-oracles": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                          "--oracle", _oracle_file(tmp),
+                                          "--frame", _write(tmp, "f.json", {"edges": []})],
+    "frame-edge-out-of-range": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                            "--oracle", _oracle_file(tmp),
+                                            "--frame", _write(tmp, "f.json", {
+                                                "oracles": [{"table": {}}], "edges": [[0, 3]]})],
+    "oracle-table-not-integers": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                              "--oracle", _write(tmp, "o.json", {"table": {"0": "x"}})],
+    "open-code-term": lambda tmp: ["realize", "--code", "(", "--formula", "0 = 0",
+                                   "--oracle", _oracle_file(tmp)],
+    "non-integer-atom": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {"R": ["high"]}})],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_files_exit_2(capsys, tmp_path, case):
+    code, out, err = run(capsys, *MALFORMED_INPUTS[case](tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_demo_rejects_unknown_name(capsys):

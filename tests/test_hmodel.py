@@ -1,4 +1,4 @@
-"""Tests for algebra-valued models, the fused evaluators, the check
+"""Tests for algebra-valued models, the memoized evaluator, the check
 suites, and the countermodel search."""
 
 import json
@@ -79,11 +79,10 @@ SHAPES = [
 ]
 
 
-def test_fused_evaluators_match_translate_then_evaluate():
-    """The fused recursions must agree with the two-stage pipeline:
-    translate syntactically, then evaluate the modal formula."""
+def test_scene_eval_matches_translate_then_eval_m():
+    """The memoized evaluator must agree, for every translation, with the
+    unmemoized reference: translate syntactically, then `eval_m`."""
     corpus = builtin_corpus("builtin:small")
-    fused_of = {"gg": SceneEval.gg, "forcing": SceneEval.forcing, "kuroda": SceneEval.kuroda}
     for scene in corpus.scenes[:6]:
         m = scene.model
         ev = SceneEval(m)
@@ -94,13 +93,9 @@ def test_fused_evaluators_match_translate_then_evaluate():
                     phi = parse(src)
                     envs = [(("x", d),) for d in m.domain]
                     for env in envs:
-                        for name, fused in fused_of.items():
-                            staged = eval_m(TRANSLATIONS[name](phi), m, env, nbind, fbind)
-                            if name == "gg":
-                                got = fused(ev, phi, j, env)
-                            else:
-                                got = fused(ev, phi, j, frame, env)
-                            assert got == staged, (name, src, env)
+                        for style, translate in TRANSLATIONS.items():
+                            staged = eval_m(translate(phi), m, env, nbind, fbind)
+                            assert ev.value(style, phi, j, env, frame) == staged, (style, src, env)
 
 
 def test_gg_with_identity_nucleus_is_plain_value():
@@ -111,7 +106,7 @@ def test_gg_with_identity_nucleus_is_plain_value():
         phi = parse(src)
         for d in m.domain:
             env = (("x", d),)
-            assert ev.gg(phi, jid, env) == ev.plain(phi, env)
+            assert ev.value("gg", phi, jid, env) == ev.plain(phi, env)
 
 
 def test_forcing_on_singleton_frame_is_gg():
@@ -123,7 +118,7 @@ def test_forcing_on_singleton_frame_is_gg():
             phi = parse(src)
             for d in m.domain:
                 env = (("x", d),)
-                assert ev.forcing(phi, j, frame, env) == ev.gg(phi, j, env)
+                assert ev.value("forcing", phi, j, env, frame) == ev.value("gg", phi, j, env)
 
 
 def test_top_nucleus_forces_everything():
@@ -132,7 +127,7 @@ def test_top_nucleus_forces_everything():
     jt = top_nucleus(m.algebra)
     frame = LopFrame(m.algebra, (jt,))
     for src in SHAPES:
-        assert ev.forcing(parse(src), jt, frame, (("x", 0), ("y", 0))) == m.algebra.top
+        assert ev.value("forcing", parse(src), jt, (("x", 0), ("y", 0)), frame) == m.algebra.top
 
 
 def _reference_posets(max_points):

@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucforce.formula import num, parse, subst
+from nucforce.formula import BOT, And, Formula, FormulaError, Imp, Or, free_vars, num, parse, print_formula, subst
 from nucforce.translate import (
     TRANSLATIONS,
+    GuardAll,
+    Mod,
     forcing_translate,
     gg_translate,
     kuroda_forcing_translate,
     kuroda_wrapped_translate,
-    mformula_size,
     parse_mformula,
-    print_mformula,
-    subst_m,
 )
 
 GG_GOLDENS = [
@@ -53,27 +52,27 @@ WRAPPED_GOLDENS = [
 
 @pytest.mark.parametrize("src,expected", GG_GOLDENS)
 def test_gg_clauses(src, expected):
-    assert print_mformula(gg_translate(parse(src))) == expected
+    assert print_formula(gg_translate(parse(src))) == expected
 
 
 @pytest.mark.parametrize("src,expected", FORCING_GOLDENS)
 def test_forcing_clauses(src, expected):
-    assert print_mformula(forcing_translate(parse(src))) == expected
+    assert print_formula(forcing_translate(parse(src))) == expected
 
 
 @pytest.mark.parametrize("src,expected", KURODA_GOLDENS)
 def test_kuroda_clauses(src, expected):
-    assert print_mformula(kuroda_forcing_translate(parse(src))) == expected
+    assert print_formula(kuroda_forcing_translate(parse(src))) == expected
 
 
 @pytest.mark.parametrize("src,expected", WRAPPED_GOLDENS)
 def test_kuroda_wrapped_clauses(src, expected):
-    assert print_mformula(kuroda_wrapped_translate(parse(src))) == expected
+    assert print_formula(kuroda_wrapped_translate(parse(src))) == expected
 
 
 def test_nested_guards_get_fresh_names():
     t = forcing_translate(parse("(R(x) -> Q(x)) -> R(x)"))
-    assert print_mformula(t) == (
+    assert print_formula(t) == (
         "all k>=j in P. (all k2>=k in P. [k2]R(x) -> [k2]Q(x)) -> [k]R(x)"
     )
 
@@ -86,7 +85,7 @@ def test_mformula_parser_round_trip_on_goldens():
     for style in TRANSLATIONS.values():
         for src, _ in GG_GOLDENS:
             t = style(parse(src))
-            assert parse_mformula(print_mformula(t)) == t
+            assert parse_mformula(print_formula(t)) == t
 
 
 def test_subst_commutes_with_translation():
@@ -98,7 +97,16 @@ def test_subst_commutes_with_translation():
     for src, env in cases:
         phi = parse(src)
         for style in TRANSLATIONS.values():
-            assert subst_m(style(phi), env) == style(subst(phi, env))
+            assert subst(style(phi), env) == style(subst(phi, env))
+            assert free_vars(style(phi)) == free_vars(phi)
+
+
+def _size(phi) -> int:
+    if isinstance(phi, (And, Or, Imp)):
+        return 1 + _size(phi.left) + _size(phi.right)
+    if hasattr(phi, "body"):
+        return 1 + _size(phi.body)
+    return 1
 
 
 def test_size_bound_linear_in_source():
@@ -107,9 +115,9 @@ def test_size_bound_linear_in_source():
     for src in ["R(x)", "(R(x) -> Q(x)) -> R(x)", "forall x. exists y. R(x) /\\ Q(y)",
                 "~ ~ (R(x) \\/ Q(x))"]:
         phi = parse(src)
-        base = mformula_size(phi)
+        base = _size(phi)
         for style in TRANSLATIONS.values():
-            assert mformula_size(style(phi)) <= 4 * base + 2
+            assert _size(style(phi)) <= 4 * base + 2
 
 
 @st.composite
@@ -139,4 +147,26 @@ def plain_formulas(draw, depth=3):
 def test_print_parse_round_trip_on_random_translations(phi):
     for style in TRANSLATIONS.values():
         t = style(phi)
-        assert parse_mformula(print_mformula(t)) == t
+        back = parse_mformula(print_formula(t))
+        assert back == t and hash(back) == hash(t)
+
+
+def test_modal_nodes_print_instead_of_recursing():
+    assert repr(Mod("j", BOT)) == "[j]bot"
+    assert str(forcing_translate(parse("R(x) -> Q(x)"))) == "all k>=j in P. [k]R(x) -> [k]Q(x)"
+    assert repr(GuardAll("k", "P", "j", Mod("k", BOT))) == "all k>=j in P. [k]bot"
+    # the modal syntax is an extension: only parse_mformula reads it back
+    for text in ("[j]bot", "all k>=j in P. [k]bot"):
+        with pytest.raises(FormulaError):
+            parse(text)
+
+
+def test_unknown_node_raises_formula_error():
+    class Stray(Formula):
+        pass
+
+    for fn in (print_formula, free_vars, lambda phi: subst(phi, {"x": num(0)})):
+        with pytest.raises(FormulaError, match="Stray"):
+            fn(Stray())
+    with pytest.raises(FormulaError, match="Stray"):
+        repr(And(Stray(), BOT))
