@@ -38,9 +38,14 @@ class FinPoset:
     def from_covers(elements: list[str], covers: list[tuple[str, str]]) -> "FinPoset":
         """Build a poset as the reflexive-transitive closure of cover pairs."""
         elems = tuple(elements)
+        if not all(isinstance(e, str) for e in elems):
+            raise AlgebraError("poset elements must be strings")
         known = set(elems)
-        for a, b in covers:
-            if a not in known or b not in known:
+        for cover in covers:
+            if len(cover) != 2:
+                raise AlgebraError(f"cover {list(cover)!r} is not a pair of elements")
+            a, b = cover
+            if not (isinstance(a, str) and a in known and isinstance(b, str) and b in known):
                 raise AlgebraError(f"cover ({a!r}, {b!r}) mentions unknown element")
         # one Warshall pass: bit j of up[i] says elems[i] <= elems[j]
         idx = {e: i for i, e in enumerate(elems)}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations, product
 
 from .algebra import FinPoset, HeytingAlg, upset_algebra
@@ -191,6 +192,10 @@ class SceneEval:
     that tuple is the memo key.  Formula nodes cache their structural
     hash, so hashing a key does not walk the formula.  Mod is not
     memoized: it is one table lookup on a memoized child.
+
+    `envs(phi)` lists the environments over phi's free variables once
+    per formula and hands back the same list on later calls, since the
+    suites ask for the same few shapes over and over.
     """
 
     def __init__(self, model: HModel):
@@ -200,6 +205,7 @@ class SceneEval:
         self._memo: dict = {}
         self._translated: dict = {}
         self._up: dict = {}
+        self._envs: dict = {}
 
     # -------------------------------------------------- base evaluators
     def up(self, frame: LopFrame, j: Nucleus) -> list[Nucleus]:
@@ -265,8 +271,13 @@ class SceneEval:
         return h.meet[h.imp[a][b]][h.imp[b][a]]
 
     def envs(self, phi: Formula) -> list[Env]:
-        fv = sorted(free_vars(phi))
-        return [tuple(zip(fv, point)) for point in product(self.m.domain, repeat=len(fv))]
+        """Every environment over phi's free variables, in sorted-variable
+        product order; the list is shared, so callers must not mutate it."""
+        got = self._envs.get(phi)
+        if got is None:
+            fv = sorted(free_vars(phi))
+            got = self._envs[phi] = [tuple(zip(fv, point)) for point in product(self.m.domain, repeat=len(fv))]
+        return got
 
     def le_val(self, j: Nucleus, k: Nucleus) -> int:
         """Carrier value of the pointwise order formula between nuclei."""
@@ -539,13 +550,23 @@ def load_model(path: str) -> Scene:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        poset = FinPoset.from_covers(list(data["poset"]["elements"]), [tuple(c) for c in data["poset"]["covers"]])
-        domain_size = int(data["domain_size"])
+        elements = list(data["poset"]["elements"])
+        covers = [tuple(c) for c in data["poset"]["covers"]]
+        raw_domain = data["domain_size"]
         raw_atoms = data["atoms"]
         frame_specs = data.get("frames", [["id"]])
     except (KeyError, TypeError) as exc:
         raise HModelError(f"{path}: malformed model file ({exc})") from exc
-    h = upset_algebra(poset)
+    try:
+        domain_size = int(raw_domain)
+    except (TypeError, ValueError):
+        raise HModelError(f"{path}: domain_size is {raw_domain!r}, not an integer") from None
+    if not isinstance(raw_atoms, dict):
+        raise HModelError(f"{path}: atoms must map relation names to nested lists of elements")
+    if not (isinstance(frame_specs, list)
+            and all(isinstance(spec, list) and all(isinstance(n, str) for n in spec) for spec in frame_specs)):
+        raise HModelError(f"{path}: frames must be a list of lists of nucleus names")
+    h = upset_algebra(FinPoset.from_covers(elements, covers))
     atom_val = {}
     for rel, nested in raw_atoms.items():
         table = {}
@@ -714,26 +735,32 @@ class SuiteReport:
 
 
 class _Run:
-    """Bookkeeping shared by the suite implementations."""
+    """Bookkeeping shared by the suite implementations.
+
+    A check gets its scene and the raw witness fields (nuclei, frames,
+    formulas, environments).  Only a failure that is recorded, at most
+    `max_failures` of them, is turned into a printable entry by `_wit`,
+    so a passing check costs a comparison and a count.
+    """
 
     def __init__(self, suite: str, max_failures: int = 20):
         self.report = SuiteReport(suite)
         self.max_failures = max_failures
 
-    def check_le(self, h: HeytingAlg, lhs: int, rhs: int, **witness):
+    def check_le(self, h: HeytingAlg, lhs: int, rhs: int, scene: Scene, **witness):
         self.report.checks += 1
         if not h.le(lhs, rhs):
-            self._fail(lhs, rhs, "<=", witness)
+            self._fail(lhs, rhs, "<=", scene, witness)
 
-    def check_eq(self, h: HeytingAlg, lhs: int, rhs: int, **witness):
+    def check_eq(self, h: HeytingAlg, lhs: int, rhs: int, scene: Scene, **witness):
         self.report.checks += 1
         if lhs != rhs:
-            self._fail(lhs, rhs, "==", witness)
+            self._fail(lhs, rhs, "==", scene, witness)
 
-    def _fail(self, lhs, rhs, relation, witness):
+    def _fail(self, lhs, rhs, relation, scene, witness):
         if len(self.report.failures) < self.max_failures:
             entry = {"lhs": lhs, "rhs": rhs, "relation": relation}
-            entry.update(witness)
+            entry.update(_wit(scene, **witness))
             self.report.failures.append(entry)
 
 
@@ -746,6 +773,8 @@ def _wit(scene: Scene, **extra) -> dict:
             out[k] = [list(m.table) for m in v.members]
         elif isinstance(v, Formula):
             out[k] = print_formula(v)
+        elif isinstance(v, tuple):  # environments and subsets
+            out[k] = list(v)
         else:
             out[k] = v
     return out
@@ -754,6 +783,14 @@ def _wit(scene: Scene, **extra) -> dict:
 def _scene_nuclei(scene: Scene, cap: int = 16) -> tuple[Nucleus, ...]:
     return scene.model.nuclei[:cap]
 
+
+def _dne(phi: Formula) -> Formula:
+    return universal_closure(Imp(neg(neg(phi)), phi))
+
+
+# The suites build every derived formula (negations, closures, compounds
+# of a pair) once, before the scene loop: the evaluator's memo tables
+# then find each one by identity instead of comparing fresh trees.
 
 def _suite_loplem(corpus: Corpus) -> SuiteReport:
     run = _Run("loplem")
@@ -765,15 +802,11 @@ def _suite_loplem(corpus: Corpus) -> SuiteReport:
         for j in _scene_nuclei(scene):
             for p in h.carrier:
                 for q in h.carrier:
-                    run.check_eq(h, h.imp[p][j(q)], j(h.imp[p][j(q)]),
-                                 **_wit(scene, item=1, j=j, p=p, q=q))
-                    run.check_eq(h, j(h.join[p][q]), j(h.join[j(p)][j(q)]),
-                                 **_wit(scene, item=3, j=j, p=p, q=q))
+                    run.check_eq(h, h.imp[p][j(q)], j(h.imp[p][j(q)]), scene, item=1, j=j, p=p, q=q)
+                    run.check_eq(h, j(h.join[p][q]), j(h.join[j(p)][j(q)]), scene, item=3, j=j, p=p, q=q)
             for v in subsets:
-                run.check_le(h, j(h.meet_all(v)), h.meet_all(j(a) for a in v),
-                             **_wit(scene, item=2, j=j, subset=list(v)))
-                run.check_le(h, h.join_all(j(a) for a in v), j(h.join_all(v)),
-                             **_wit(scene, item=4, j=j, subset=list(v)))
+                run.check_le(h, j(h.meet_all(v)), h.meet_all(j(a) for a in v), scene, item=2, j=j, subset=v)
+                run.check_le(h, h.join_all(j(a) for a in v), j(h.join_all(v)), scene, item=4, j=j, subset=v)
     return run.report
 
 
@@ -789,7 +822,7 @@ def _suite_maximal_collapse(corpus: Corpus) -> SuiteReport:
                     for env in ev.envs(phi):
                         run.check_le(h, ante,
                                      ev.biimp(ev.value("forcing", phi, j, env, frame), ev.value("gg", phi, j, env)),
-                                     **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
+                                     scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -803,8 +836,7 @@ def _suite_jclosed(corpus: Corpus) -> SuiteReport:
                 for phi in GENERAL_SHAPES:
                     for env in ev.envs(phi):
                         v = ev.value("forcing", phi, j, env, frame)
-                        run.check_eq(h, j(v), v,
-                                     **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
+                        run.check_eq(h, j(v), v, scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -823,7 +855,7 @@ def _suite_monotonicity(corpus: Corpus) -> SuiteReport:
                         vj = ev.value("forcing", phi, j, env, frame)
                         for k in ups:
                             run.check_le(h, vj, ev.value("forcing", phi, k, env, frame),
-                                         **_wit(scene, frame=frame, j=j, k=k, formula=phi, env=list(env)))
+                                         scene, frame=frame, j=j, k=k, formula=phi, env=env)
     return run.report
 
 
@@ -838,28 +870,36 @@ def _suite_jinp_monotonicity(corpus: Corpus) -> SuiteReport:
                     for env in ev.envs(phi):
                         lhs = ev.value("forcing", phi, j, env, frame)
                         rhs = h.meet_all(ev.value("forcing", phi, k, env, frame) for k in ev.up(frame, j))
-                        run.check_eq(h, lhs, rhs,
-                                     **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
+                        run.check_eq(h, lhs, rhs, scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
 def _suite_constant_domain(corpus: Corpus) -> SuiteReport:
     run = _Run("constant-domain")
-    shapes = [phi for phi in GENERAL_SHAPES if free_vars(phi)]
+    shapes = [(phi, universal_closure(phi)) for phi in GENERAL_SHAPES if free_vars(phi)]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
             for j in frame.members:
-                for phi in shapes:
+                for phi, closed in shapes:
                     lhs = h.meet_all(ev.value("forcing", phi, j, env, frame) for env in ev.envs(phi))
-                    run.check_eq(h, lhs, ev.value("forcing", universal_closure(phi), j, (), frame),
-                                 **_wit(scene, frame=frame, j=j, formula=phi))
+                    run.check_eq(h, lhs, ev.value("forcing", closed, j, (), frame), scene, frame=frame, j=j, formula=phi)
     return run.report
 
 
 def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
     run = _Run("iqc-soundness")
+    # a rule's environments range over the free variables of all its
+    # formulas, which are those of their conjunction
+    rules = [(premises, conclusion, reduce(And, premises + [conclusion])) for premises, conclusion in IQC_RULES]
+    # quantifier rules, with the side formula closed: (premise with y
+    # free, met over the domain; conclusion binding y)
+    psi, body = _p("exists z. R(z)"), _p("Q(y)")
+    quantifier_rules = [
+        (Imp(psi, body), Imp(psi, Forall("y", body))),
+        (Imp(body, psi), Imp(Exists("y", body), psi)),
+    ]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
@@ -868,32 +908,19 @@ def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
                 for phi in IQC_AXIOMS:
                     for env in ev.envs(phi):
                         run.check_eq(h, ev.value("forcing", phi, j, env, frame), h.top,
-                                     **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
+                                     scene, frame=frame, j=j, formula=phi, env=env)
             # rule closure needs both monotonicity directions, so the
             # lower nucleus must itself be a frame member
             for j in frame.members:
-                for premises, conclusion in IQC_RULES:
-                    fv = set()
-                    for f in premises + [conclusion]:
-                        fv |= free_vars(f)
-                    for point in product(scene.model.domain, repeat=len(fv)):
-                        env = tuple(sorted(zip(sorted(fv), point)))
+                for premises, conclusion, whole in rules:
+                    for env in ev.envs(whole):
                         pv = h.meet_all(ev.value("forcing", f, j, env, frame) for f in premises)
                         run.check_le(h, pv, ev.value("forcing", conclusion, j, env, frame),
-                                     **_wit(scene, frame=frame, j=j, formula=conclusion, env=list(env)))
-                # quantifier rules, with the side formula closed
-                psi = _p("exists z. R(z)")
-                body = _p("Q(y)")
-                lhs = h.meet_all(
-                    ev.value("forcing", Imp(psi, body), j, (("y", d),), frame) for d in scene.model.domain
-                )
-                run.check_le(h, lhs, ev.value("forcing", Imp(psi, Forall("y", body)), j, (), frame),
-                             **_wit(scene, frame=frame, j=j, formula=Imp(psi, Forall("y", body))))
-                lhs = h.meet_all(
-                    ev.value("forcing", Imp(body, psi), j, (("y", d),), frame) for d in scene.model.domain
-                )
-                run.check_le(h, lhs, ev.value("forcing", Imp(Exists("y", body), psi), j, (), frame),
-                             **_wit(scene, frame=frame, j=j, formula=Imp(Exists("y", body), psi)))
+                                     scene, frame=frame, j=j, formula=conclusion, env=env)
+                for premise, conclusion in quantifier_rules:
+                    lhs = h.meet_all(ev.value("forcing", premise, j, env, frame) for env in ev.envs(premise))
+                    run.check_le(h, lhs, ev.value("forcing", conclusion, j, (), frame),
+                                 scene, frame=frame, j=j, formula=conclusion)
     return run.report
 
 
@@ -914,8 +941,7 @@ def _suite_literal_class(corpus: Corpus) -> SuiteReport:
                     for frame in frames
                     for j in _scene_nuclei(scene)
                 )
-                run.check_eq(h, ev.plain(phi, env), rhs,
-                             **_wit(scene, formula=phi, env=list(env)))
+                run.check_eq(h, ev.plain(phi, env), rhs, scene, formula=phi, env=env)
     return run.report
 
 
@@ -938,7 +964,7 @@ def _suite_forcingL_equiv(corpus: Corpus) -> SuiteReport:
                             (name, evl.unit(j, evl.singleton(d))) for name, d in env
                         ))
                         run.check_eq(h, evl.value(phi, j, uenv), ev.value("forcing", phi, j, env, frame),
-                                     **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
+                                     scene, frame=frame, j=j, formula=phi, env=env)
     run.report.notes.append(
         f"restricted to algebras with <= 8 elements and domains <= 2 ({kept} scenes)")
     return run.report
@@ -954,7 +980,7 @@ def _suite_kuroda_gg(corpus: Corpus) -> SuiteReport:
                 for phi in GENERAL_SHAPES:
                     for env in ev.envs(phi):
                         run.check_eq(h, j(ev.value("kuroda", phi, j, env, frame)), ev.value("forcing", phi, j, env, frame),
-                                     **_wit(scene, frame=frame, j=j, formula=phi, env=list(env)))
+                                     scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -965,49 +991,51 @@ def _suite_impfree_equiv(corpus: Corpus) -> SuiteReport:
         h = ev.h
         for frame in scene.frames:
             for phi in IMPFREE_SHAPES:
-                run.check_eq(h, ev.equiv_val(phi, frame), h.top,
-                             **_wit(scene, frame=frame, formula=phi))
+                run.check_eq(h, ev.equiv_val(phi, frame), h.top, scene, frame=frame, formula=phi)
     return run.report
 
 
 def _suite_emn(corpus: Corpus) -> SuiteReport:
     run = _Run("emn")
+    shapes = []
+    for phi in MIXED_SHAPES:
+        np, nnp = neg(phi), neg(neg(phi))
+        shapes.append((phi, np, nnp, Imp(nnp, phi)))
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
-            for phi in MIXED_SHAPES:
-                np, nnp = neg(phi), neg(neg(phi))
+            for phi, np, nnp, dne in shapes:
                 e = ev.equiv_val(phi, frame)
                 run.check_le(h, ev.nono_val(nnp, frame), ev.mono_val(np, frame),
-                             **_wit(scene, item=1, frame=frame, formula=phi))
+                             scene, item=1, frame=frame, formula=phi)
                 run.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(np, frame),
-                             **_wit(scene, item=2, frame=frame, formula=phi))
+                             scene, item=2, frame=frame, formula=phi)
                 run.check_le(h, h.meet_all([e, ev.mono_val(np, frame), ev.mono_val(nnp, frame)]),
                              ev.equiv_val(nnp, frame),
-                             **_wit(scene, item=3, frame=frame, formula=phi))
-                run.check_le(h, h.meet[e][ev.nono_val(nnp, frame)],
-                             ev.mono_val(Imp(nnp, phi), frame),
-                             **_wit(scene, item=4, frame=frame, formula=phi))
+                             scene, item=3, frame=frame, formula=phi)
+                run.check_le(h, h.meet[e][ev.nono_val(nnp, frame)], ev.mono_val(dne, frame),
+                             scene, item=4, frame=frame, formula=phi)
     return run.report
 
 
 def _suite_mndneg(corpus: Corpus) -> SuiteReport:
     run = _Run("mndneg")
+    shapes = []
+    for phi in MIXED_SHAPES:
+        np, nnp = neg(phi), neg(neg(phi))
+        shapes.append((phi, np, nnp, universal_closure(Or(phi, np)), _dne(phi)))
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
-            for phi in MIXED_SHAPES:
-                np, nnp = neg(phi), neg(neg(phi))
+            for phi, np, nnp, lem, dne in shapes:
                 e = ev.equiv_val(phi, frame)
-                lem = universal_closure(Or(phi, np))
-                dne = universal_closure(Imp(nnp, phi))
                 run.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
-                             **_wit(scene, item=1, frame=frame, formula=phi))
+                             scene, item=1, frame=frame, formula=phi)
                 run.check_le(h, h.meet_all([e, ev.mono_val(nnp, frame), ev.nono_val(nnp, frame)]),
                              ev.equiv_val(dne, frame),
-                             **_wit(scene, item=2, frame=frame, formula=phi))
+                             scene, item=2, frame=frame, formula=phi)
     return run.report
 
 
@@ -1022,64 +1050,58 @@ TRP_PAIRS = [
 def _suite_trp_closure(corpus: Corpus) -> SuiteReport:
     run = _Run("trp-closure")
     atom = _p("R(x)")
+    pairs = [(phi, psi, And(phi, psi), Or(phi, psi), Exists("x", phi), Imp(phi, psi), Forall("x", phi))
+             for phi, psi in TRP_PAIRS]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         for j in _scene_nuclei(scene):
             for k in _scene_nuclei(scene):
                 le = ev.le_val(j, k)
-                run.check_le(h, le, ev.trp_val(atom, j, k),
-                             **_wit(scene, item=1, j=j, k=k))
-                for phi, psi in TRP_PAIRS:
+                run.check_le(h, le, ev.trp_val(atom, j, k), scene, item=1, j=j, k=k)
+                for phi, psi, conj, disj, ex, imp, univ in pairs:
                     tp, tq = ev.trp_val(phi, j, k), ev.trp_val(psi, j, k)
                     both = h.meet[tp][tq]
-                    run.check_le(h, both, ev.trp_val(And(phi, psi), j, k),
-                                 **_wit(scene, item=2, j=j, k=k, formula=phi))
-                    run.check_le(h, h.meet[both][le], ev.trp_val(Or(phi, psi), j, k),
-                                 **_wit(scene, item=3, j=j, k=k, formula=phi))
-                    run.check_le(h, h.meet[both][le], ev.trp_val(Exists("x", phi), j, k),
-                                 **_wit(scene, item="3-exists", j=j, k=k, formula=phi))
-                    run.check_le(h, h.meet[both][ev.cl_val(psi, j, k)],
-                                 ev.trp_val(Imp(phi, psi), j, k),
-                                 **_wit(scene, item=4, j=j, k=k, formula=phi))
-                    run.check_le(h, h.meet[tp][ev.cl_val(phi, j, k)],
-                                 ev.trp_val(Forall("x", phi), j, k),
-                                 **_wit(scene, item="4-forall", j=j, k=k, formula=phi))
+                    run.check_le(h, both, ev.trp_val(conj, j, k), scene, item=2, j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[both][le], ev.trp_val(disj, j, k), scene, item=3, j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[both][le], ev.trp_val(ex, j, k),
+                                 scene, item="3-exists", j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[both][ev.cl_val(psi, j, k)], ev.trp_val(imp, j, k),
+                                 scene, item=4, j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[tp][ev.cl_val(phi, j, k)], ev.trp_val(univ, j, k),
+                                 scene, item="4-forall", j=j, k=k, formula=phi)
     return run.report
 
 
 def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
     run = _Run("dense-dne")
-    atom = _p("R(x)")
+    dne_atom = _dne(_p("R(x)"))
+    shapes = [(phi, _dne(phi)) for phi in MIXED_SHAPES]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         dense = [j for j in _scene_nuclei(scene) if is_dense(j)]
-        dne_atom = universal_closure(Imp(neg(neg(atom)), atom))
         for j in dense:
-            run.check_le(h, ev.plain(dne_atom, ()), ev.value("gg", dne_atom, j),
-                         **_wit(scene, item=1, j=j))
+            run.check_le(h, ev.plain(dne_atom, ()), ev.value("gg", dne_atom, j), scene, item=1, j=j)
             for k in dense:
-                for phi in MIXED_SHAPES:
-                    dne = universal_closure(Imp(neg(neg(phi)), phi))
-                    run.check_le(h, ev.value("gg", dne, j), ev.cl_val(phi, j, k),
-                                 **_wit(scene, item=2, j=j, k=k, formula=phi))
+                for phi, dne in shapes:
+                    run.check_le(h, ev.value("gg", dne, j), ev.cl_val(phi, j, k), scene, item=2, j=j, k=k, formula=phi)
     return run.report
 
 
 def _suite_trp_imp_mn(corpus: Corpus) -> SuiteReport:
     run = _Run("trp-imp-mn")
+    shapes = [(phi, neg(neg(phi))) for phi in MIXED_SHAPES]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         dense_frames = [f for f in scene.frames if all(is_dense(k) for k in f.members)]
         for frame in dense_frames:
             for j in _scene_nuclei(scene):
-                for phi in MIXED_SHAPES:
+                for phi, nnp in shapes:
                     ante = h.meet_all(ev.trp_val(phi, j, k) for k in frame.members)
-                    nnp = neg(neg(phi))
                     run.check_le(h, ante, h.meet[ev.mono_val(nnp, frame)][ev.nono_val(nnp, frame)],
-                                 **_wit(scene, frame=frame, j=j, formula=phi))
+                                 scene, frame=frame, j=j, formula=phi)
     return run.report
 
 
@@ -1097,8 +1119,7 @@ def _suite_trp_ladder(corpus: Corpus) -> SuiteReport:
             for k in dense:
                 le = ev.le_val(j, k)
                 for phi in PI1_SHAPES + SIGMA1_SHAPES:
-                    run.check_le(h, le, ev.trp_val(phi, j, k),
-                                 **_wit(scene, j=j, k=k, formula=phi))
+                    run.check_le(h, le, ev.trp_val(phi, j, k), scene, j=j, k=k, formula=phi)
     run.report.notes.append(f"level-0 ladder on two-valued-atom models ({kept} scenes)")
     return run.report
 
@@ -1112,6 +1133,8 @@ def _suite_sufcon(corpus: Corpus) -> SuiteReport:
         ("PiOrPi1", PIORPI1_SHAPES),
         ("Sigma2", SIGMA2_SHAPES[:1]),
     ]
+    instances = [(label, phi, _dne(phi), universal_closure(Or(phi, neg(phi))))
+                 for label, shapes in classes for phi in shapes]
     for scene in corpus.scenes:
         if not scene.two_valued:
             continue
@@ -1122,14 +1145,11 @@ def _suite_sufcon(corpus: Corpus) -> SuiteReport:
         for frame in dense_frames:
             for j in frame.members:
                 ante = h.meet_all(ev.le_val(j, k) for k in frame.members)
-                for label, shapes in classes:
-                    for phi in shapes:
-                        dne = universal_closure(Imp(neg(neg(phi)), phi))
-                        lem = universal_closure(Or(phi, neg(phi)))
-                        run.check_le(h, ante, ev.equiv_val(dne, frame),
-                                     **_wit(scene, cls=label, ax="DNE", frame=frame, j=j, formula=phi))
-                        run.check_le(h, ante, ev.equiv_val(lem, frame),
-                                     **_wit(scene, cls=label, ax="LEM", frame=frame, j=j, formula=phi))
+                for label, phi, dne, lem in instances:
+                    run.check_le(h, ante, ev.equiv_val(dne, frame),
+                                 scene, cls=label, ax="DNE", frame=frame, j=j, formula=phi)
+                    run.check_le(h, ante, ev.equiv_val(lem, frame),
+                                 scene, cls=label, ax="LEM", frame=frame, j=j, formula=phi)
     run.report.notes.append(f"level-0 condition on dense frames and two-valued-atom models ({kept} scenes)")
     return run.report
 

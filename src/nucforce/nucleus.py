@@ -48,7 +48,14 @@ class Nucleus:
         return isinstance(other, Nucleus) and self.table == other.table and self.algebra is other.algebra
 
     def __hash__(self):
-        return hash(self.table)
+        # memo keys hash the nucleus on every lookup; hash the table once,
+        # on first use, so enumeration itself does no extra work
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.table)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         label = self.name or "nucleus"
@@ -183,11 +190,14 @@ def named_nucleus(h: HeytingAlg, spec: str) -> Nucleus:
         return double_negation(h)
     if spec == "top":
         return top_nucleus(h)
-    if spec.startswith("closed:"):
-        return closed_nucleus(h, int(spec.split(":", 1)[1]))
-    if spec.startswith("open:"):
-        return open_nucleus(h, int(spec.split(":", 1)[1]))
-    if spec.isdigit():
+    for prefix, build in (("closed:", closed_nucleus), ("open:", open_nucleus)):
+        if spec.startswith(prefix):
+            try:
+                elt = int(spec[len(prefix):])
+            except ValueError:
+                raise NucleusError(f"nucleus spec {spec!r} does not end in an element index") from None
+            return build(h, elt)
+    if spec.isdecimal():
         inventory = enumerate_nuclei(h)
         i = int(spec)
         if i >= len(inventory):

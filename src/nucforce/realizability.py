@@ -220,6 +220,8 @@ class Oracle:
 
     @staticmethod
     def from_dict(label: str, mapping: dict) -> "Oracle":
+        if not isinstance(label, str):
+            raise RealizabilityError(f"oracle label {label!r} is not a string")
         try:
             return Oracle(label, tuple(sorted((int(k), int(v)) for k, v in mapping.items())))
         except (AttributeError, TypeError, ValueError):
@@ -266,8 +268,10 @@ def load_oracle(path: str) -> Oracle:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise RealizabilityError(f"{path}: an oracle file holds a JSON object")
-    label = data.get("label", path)
-    return Oracle.from_dict(label, data.get("table", data))
+    # {"label": ..., "table": {...}}, or a bare table that may carry a label
+    rest = dict(data)
+    label = rest.pop("label", path)
+    return Oracle.from_dict(label, rest.pop("table", rest))
 
 
 def load_oracle_poset(path: str) -> OraclePoset:
@@ -282,7 +286,10 @@ def load_oracle_poset(path: str) -> OraclePoset:
     if not all(isinstance(o, dict) and "table" in o for o in data["oracles"]):
         raise RealizabilityError(f"{path}: every oracle needs a 'table'")
     oracles = tuple(Oracle.from_dict(o.get("label", f"o{i}"), o["table"]) for i, o in enumerate(data["oracles"]))
-    for edge in data.get("edges", []):
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise RealizabilityError(f"{path}: 'edges' must be a list of oracle index pairs")
+    for edge in edges:
         if not (isinstance(edge, list) and len(edge) == 2
                 and all(isinstance(i, int) and 0 <= i < len(oracles) for i in edge)):
             raise RealizabilityError(f"{path}: edge {edge!r} is not a pair of oracle indices")

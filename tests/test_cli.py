@@ -1,8 +1,15 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nucforce import cli
 from nucforce.realizability import app, diverging_code, encode, numt
@@ -93,6 +100,12 @@ def test_parse_code_accepts_numbers_and_terms():
         cli.parse_code("(K 5")
 
 
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def _oracle_file(tmp_path):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps({"label": "f", "table": {}}))
@@ -111,6 +124,15 @@ def test_realize_verdict_exit_codes(capsys, tmp_path):
                        "--formula", "forall x. x + 0 = x", "--oracle", oracle,
                        "--fuel", "200")
     assert code == 3 and json.loads(out)["verdict"] == "exhausted"
+    # an oracle file is {"label", "table"} or a bare table, which may
+    # carry a label; both forms of the oracle 0 -> 1 get the same verdict
+    verdicts = []
+    for doc in ({"label": "f", "table": {}}, {"table": {"0": 1}}, {"label": "f", "0": 1}):
+        code, out, _ = run(capsys, "realize", "--code", "(K (PAIR (ORA 0) 0))",
+                           "--formula", "forall x. exists y. y = 1",
+                           "--oracle", _write(tmp_path, "consulted.json", doc))
+        verdicts.append((code, json.loads(out)["verdict"]))
+    assert verdicts == [(1, "refuted"), (0, "realized"), (0, "realized")]
 
 
 def test_realize_with_frame(capsys, tmp_path):
@@ -122,12 +144,6 @@ def test_realize_with_frame(capsys, tmp_path):
     code, out, _ = run(capsys, "realize", "--code", "(K 0)", "--formula",
                        "0 = 0 -> 0 = 0", "--oracle", oracle, "--frame", str(frame))
     assert code == 0 and json.loads(out)["verdict"] == "realized"
-
-
-def _write(tmp_path, name, data):
-    path = tmp_path / name
-    path.write_text(json.dumps(data))
-    return str(path)
 
 
 MALFORMED_INPUTS = {
@@ -146,6 +162,12 @@ MALFORMED_INPUTS = {
                                    "--oracle", _oracle_file(tmp)],
     "non-integer-atom": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
         "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {"R": ["high"]}})],
+    "non-integer-domain": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": "x", "atoms": {"R": [0]}})],
+    "atoms-not-an-object": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": [1]})],
+    "nucleus-spec-superscript-digit": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {}, "frames": [["\u00b2"]]})],
 }
 
 
@@ -154,6 +176,83 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, case):
     code, out, err = run(capsys, *MALFORMED_INPUTS[case](tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Valid input files and the command that reads each, given the file and
+# a valid oracle file; the property test below mutates them and runs the
+# command on the result.
+REALIZE = ["realize", "--code", "(K 0)", "--formula", "0 = 0 -> 0 = 0"]
+VALID_FILES = {
+    "model": ({"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]}, "domain_size": 2,
+               "atoms": {"R": [1, 2], "Q": [0, 2]}, "frames": [["id"], ["id", "notnot"]]},
+              lambda path, oracle: ["check", "--suite", "loplem", "--corpus", path]),
+    "oracle": ({"label": "f", "table": {"0": 1, "2": 5}},
+               lambda path, oracle: REALIZE + ["--oracle", path]),
+    "oracle-poset": ({"oracles": [{"label": "f", "table": {}}, {"label": "g", "table": {"0": 1}}],
+                      "edges": [[0, 1]]},
+                     lambda path, oracle: REALIZE + ["--oracle", oracle, "--frame", path]),
+}
+OTHER_TYPES = [None, True, "x", 1.5, [], {}, [[0, 1]], {"0": 1}, ["a", "b", "c"]]
+OUT_OF_RANGE = [-7, -1, 0, 3, 999]
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, sub in items:
+        yield from _json_paths(sub, prefix + (key,))
+
+
+def _swapped(node):
+    """A list becomes an object keyed by index, an object the list of
+    its values, and a scalar a one-element list."""
+    if isinstance(node, list):
+        return {str(i): v for i, v in enumerate(node)}
+    if isinstance(node, dict):
+        return list(node.values())
+    return [node]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """Apply one to three mutations: drop a key or item, retype a value,
+    swap lists and objects, or put in an out-of-range integer."""
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        kind = draw(st.sampled_from(["drop", "retype", "swap", "int"]))
+        value = draw(st.sampled_from(OUT_OF_RANGE if kind == "int" else OTHER_TYPES))
+        doc = copy.deepcopy(doc)
+        if not path:
+            doc = {} if kind == "drop" else _swapped(doc) if kind == "swap" else value
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _swapped(parent[path[-1]]) if kind == "swap" else value
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_input_files_keep_the_exit_code_contract(kind, data):
+    valid, argv = VALID_FILES[kind]
+    doc = data.draw(_mutated(valid), label="document")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        oracle = os.path.join(tmp, "oracle.json")
+        with open(oracle, "w") as fh:
+            json.dump(VALID_FILES["oracle"][0], fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv(path, oracle))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_demo_rejects_unknown_name(capsys):

@@ -244,6 +244,34 @@ def test_suite_report_serialises():
     json.dumps(d)
 
 
+def test_failing_suites_record_the_first_twenty_witnesses(monkeypatch):
+    """Every translated formula evaluates to bottom: the suites must
+    report failures with full witnesses, keep at most 20, and still count
+    every check."""
+    corpus = builtin_corpus("builtin:small")
+    checks = {name: run_suite(name, corpus).checks for name in ("jclosed", "dense-dne")}
+    monkeypatch.setattr(SceneEval, "value", lambda self, *args, **kwargs: self.h.bottom)
+
+    # the first scene: one point, two-element algebra, nuclei id = [0, 1]
+    # and top = [1, 1], frames [id], [top], [id, top], domain {0}; bottom
+    # is j-closed for id but not for top
+    report = run_suite("jclosed", corpus)
+    assert list(report.failures[0].items()) == [
+        ("lhs", 1), ("rhs", 0), ("relation", "=="), ("model", "poset0-scene0"),
+        ("frame", [[0, 1]]), ("j", [1, 1]), ("formula", "R(x)"), ("env", [("x", 0)]),
+    ]
+    assert len(report.failures) == 20 and report.checks == checks["jclosed"]
+
+    # DNE for R holds in the two-element algebra (plain value 1), but its
+    # patched gg value is 0; id is the one dense nucleus there
+    report = run_suite("dense-dne", corpus)
+    assert list(report.failures[0].items()) == [
+        ("lhs", 1), ("rhs", 0), ("relation", "<="), ("model", "poset0-scene0"),
+        ("item", 1), ("j", [0, 1]),
+    ]
+    assert len(report.failures) == 20 and report.checks == checks["dense-dne"]
+
+
 def test_search_targets_registry():
     assert set(SEARCH_TARGETS) == {"equiv", "trp", "mono", "nono"}
 
