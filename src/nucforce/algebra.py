@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-SIZE_CAP = 2 ** 16
+MAX_POINTS = 16
+SIZE_CAP = 2 ** MAX_POINTS  # Up(P) of an n-point antichain has 2^n elements
 
 
 class AlgebraError(ValueError):
@@ -76,6 +77,14 @@ def _check_count(n: int) -> None:
         raise AlgebraError(f"a poset cannot have {n} points")
 
 
+def check_poset_size(n: int) -> None:
+    """Refuse a poset too large for `upset_algebra`.  The loaders call
+    this before `from_covers`, whose closure and axiom checks take time
+    cubic in the number of points; `FinPoset` itself takes any size."""
+    if n > MAX_POINTS:
+        raise AlgebraError(f"poset of {n} points exceeds the {SIZE_CAP}-element algebra cap")
+
+
 def poset_violations(elements, leq) -> list[str]:
     """Return human-readable axiom violations (empty list means valid)."""
     errs = []
@@ -102,7 +111,9 @@ def load_poset(path: str) -> FinPoset:
         data = json.load(fh)
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise AlgebraError(f"{path}: poset file needs 'elements' and 'covers' keys")
-    return FinPoset.from_covers(list(data["elements"]), [tuple(c) for c in data["covers"]])
+    elements = list(data["elements"])
+    check_poset_size(len(elements))
+    return FinPoset.from_covers(elements, [tuple(c) for c in data["covers"]])
 
 
 @dataclass(frozen=True)
@@ -171,8 +182,7 @@ def upset_algebra(p: FinPoset) -> HeytingAlg:
     whose intersection with U lies in V.
     """
     n = len(p.elements)
-    if 2 ** n > SIZE_CAP:
-        raise AlgebraError(f"poset of {n} points exceeds the {SIZE_CAP}-element algebra cap")
+    check_poset_size(n)
     idx = {e: i for i, e in enumerate(p.elements)}
     up_of = [0] * n  # bitmask of elements >= element i
     for a in p.elements:

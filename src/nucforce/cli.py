@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraError, FinPoset, load_poset, upset_algebra
+from .algebra import AlgebraError, FinPoset, check_poset_size, load_poset, upset_algebra
 from .formula import FormulaError, parse, print_formula
 from .nucleus import NucleusError, enumerate_nuclei, is_dense
 from .translate import TRANSLATIONS
@@ -60,6 +60,7 @@ def _poset_from_spec(spec: str):
                 size = int(count)
             except ValueError:
                 raise AlgebraError(f"poset spec {spec!r}: {count!r} is not an integer") from None
+            check_poset_size(size)
             return build(size)
     return load_poset(spec)
 

@@ -1,14 +1,15 @@
 """Lattice-valued evaluation and the named property suites.
 
-A model is a finite Heyting algebra, a finite domain, and a table for
-each uninterpreted relation symbol.  Formulas evaluate to carrier
+A model is a finite Heyting algebra, a finite domain, and a total table
+for each uninterpreted relation symbol.  Formulas evaluate to carrier
 elements; the modal language evaluates through nucleus tables, with
 guarded quantification realized as a meet over the frame members above
-the current nucleus.  `eval_m` is the plain recursive definition;
-`SceneEval` evaluates the output of each translation with one memo
-table and is what the suites use.  The suite registry checks each
-property family over a generated corpus of models and reports failures
-with witnesses.
+the current nucleus.  `eval_m` is the plain recursive definition, one
+nucleus at a time.  `SceneEval` evaluates the output of each translation
+at every nucleus of a basis at once, one memoized vector per node, and
+is what the suites and the countermodel search read.  The suite registry
+checks each property family over a generated corpus of models and
+reports failures with witnesses.
 
 Quantifiers over truth values and over nuclei are instantiated at the
 carrier and at the enumerated nuclei respectively, so every suite
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import permutations, product
 
-from .algebra import FinPoset, HeytingAlg, upset_algebra
+from .algebra import FinPoset, HeytingAlg, check_poset_size, upset_algebra
 from .formula import (
     And,
     Atom,
@@ -63,6 +64,12 @@ class HModelError(ValueError):
     pass
 
 
+# Environments grow as (domain size)^(free variables) and the sheaf
+# evaluator ranges over carrier^(domain size) subsets, so a model's
+# domain is bounded.
+MAX_DOMAIN_SIZE = 16
+
+
 @dataclass(eq=False)
 class HModel:
     """Finite algebra-valued model with a constant domain."""
@@ -74,14 +81,22 @@ class HModel:
     name: str = ""
 
     def __post_init__(self):
-        if self.domain_size < 1:
+        n = self.domain_size
+        if n < 1:
             raise HModelError("domain must be nonempty")
+        if n > MAX_DOMAIN_SIZE:
+            raise HModelError(f"domain of {n} points exceeds the {MAX_DOMAIN_SIZE}-point cap")
         h = self.algebra
         for rel, table in self.atom_val.items():
             for key, v in table.items():
                 h.check_element(v)
-                if any(not 0 <= d < self.domain_size for d in key):
+                if any(not 0 <= d < n for d in key):
                     raise HModelError(f"atom table for {rel} mentions unknown domain point {key}")
+            # entries are distinct in-range tuples, so one arity and
+            # n^arity of them means every tuple has a value
+            arities = {len(key) for key in table}
+            if len(arities) != 1 or len(table) != n ** arities.pop():
+                raise HModelError(f"atom table for {rel} is not total over the {n}-point domain")
 
     @property
     def domain(self) -> range:
@@ -177,43 +192,78 @@ def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind:
     raise HModelError(f"cannot evaluate node {mphi!r}")
 
 
-class SceneEval:
-    """Memoized evaluator of translated formulas for one model.
+SCENE_NUCLEI = 16  # suites that range over a scene's nuclei take this many
 
-    `value(style, phi, j, env, frame)` is the value of
-    `TRANSLATIONS[style](phi)` with the nucleus variable j bound to `j`
-    and the frame P bound to `frame`, the same number `eval_m` computes;
-    a dedicated test compares the two.
+
+class SceneEval:
+    """Memoized evaluator of translated formulas for one model: one
+    vector per node, one entry per nucleus of a basis.
+
+    `vector(style, phi, env, basis, frame)` evaluates
+    `TRANSLATIONS[style](phi)` at every nucleus of the basis at once.
+    Entry i is the value with the nucleus variable j bound to
+    `basis.members[i]` and the frame variable P bound to `frame`, the
+    number `eval_m` computes; a dedicated test compares every entry.  A
+    basis is a `LopFrame`, whose hash is computed once.  Suites that range
+    over a scene's nuclei use `nuclei`, the model's first `SCENE_NUCLEI`
+    nuclei, built on first use; frame predicates and the countermodel
+    search use the frame itself, so a basis is no larger than what its
+    caller reads.
 
     Every node of a translated formula has at most one free nucleus
     variable, the current nucleus: j at the root, rebound to the guard's
-    k throughout a GuardAll body.  A node's value therefore depends only
-    on the node, the current nucleus, the frame, and the environment, and
-    that tuple is the memo key.  Formula nodes cache their structural
-    hash, so hashing a key does not walk the formula.  Mod is not
-    memoized: it is one table lookup on a memoized child.
+    k throughout a GuardAll body.  A node's vector therefore depends only
+    on the node, the basis, the frame and the environment.  The memo is
+    keyed by that tuple, as one table per (basis, frame) keyed by (node,
+    env), so a node is looked up once per environment rather than once
+    per nucleus.  This is the bottom-up labelling of explicit-state model
+    checking (Clarke, Emerson & Sistla, TOPLAS 8(2), 1986), with the
+    nuclei as states.  Mod is a per-entry table lookup, And/Or/Imp zip
+    their two child vectors, and Forall/Exists take the entry-wise meet
+    or join over the domain.  Mod and the leaves are not memoized: a Mod
+    vector is one pass over a memoized child and a leaf one `plain`
+    lookup, cheaper than a memo entry on the one- to three-nucleus frame
+    bases of the countermodel search.  A GuardAll body is in k, which ranges over
+    the frame, so the body is evaluated over the frame as basis.  Entry i
+    of the guard is then the meet of the body entries at the frame
+    members above `basis.members[i]`; `ups` lists those indices once per
+    (frame, basis).
 
-    `envs(phi)` lists the environments over phi's free variables once
-    per formula and hands back the same list on later calls, since the
-    suites ask for the same few shapes over and over.
+    `trp_val` and `cl_val` return matrices over a pair of bases, built
+    from the gg vectors of the two bases, one pass per environment.
+    `value(style, phi, j, env, frame)` is one entry of a vector, for tests
+    and callers that need one nucleus.
+    Vectors, matrices and the lists `envs` and `ups` return are shared:
+    callers must not mutate them.
     """
 
     def __init__(self, model: HModel):
         self.m = model
         self.h = model.algebra
         self._plain: dict = {}
-        self._memo: dict = {}
+        self._vec: dict = {}
         self._translated: dict = {}
-        self._up: dict = {}
+        self._ups: dict = {}
         self._envs: dict = {}
+        self._nuclei: LopFrame | None = None
 
     # -------------------------------------------------- base evaluators
-    def up(self, frame: LopFrame, j: Nucleus) -> list[Nucleus]:
-        key = (frame, j)
-        got = self._up.get(key)
+    @property
+    def nuclei(self) -> LopFrame:
+        """The scene basis: the model's first `SCENE_NUCLEI` nuclei."""
+        if self._nuclei is None:
+            self._nuclei = LopFrame(self.h, self.m.nuclei[:SCENE_NUCLEI])
+        return self._nuclei
+
+    def ups(self, frame: LopFrame, basis: LopFrame) -> list[list[int]]:
+        """For each basis entry, the indices of the frame members above it
+        in the pointwise order, frame order kept."""
+        key = (frame, basis)
+        got = self._ups.get(key)
         if got is None:
-            got = frame_up(frame, j)
-            self._up[key] = got
+            got = self._ups[key] = [
+                [x for x, k in enumerate(frame.members) if nucleus_le(j, k)] for j in basis.members
+            ]
         return got
 
     def plain(self, phi: Formula, env: Env = ()) -> int:
@@ -224,10 +274,6 @@ class SceneEval:
             self._plain[key] = got
         return got
 
-    def value(self, style: str, phi: Formula, j: Nucleus, env: Env = (), frame: LopFrame | None = None) -> int:
-        """Value of the named translation of phi at j (over the frame)."""
-        return self._eval(self.translated(style, phi), j, frame, env)
-
     def translated(self, style: str, phi: Formula) -> Formula:
         """`TRANSLATIONS[style](phi)`, built once per evaluator."""
         key = (style, phi)
@@ -236,33 +282,63 @@ class SceneEval:
             t = self._translated[key] = TRANSLATIONS[style](phi)
         return t
 
-    def _eval(self, node: Formula, j: Nucleus, frame: LopFrame | None, env: Env) -> int:
-        if type(node) is Mod:
-            return j.table[self._eval(node.body, j, frame, env)]
-        if type(node) is Atom or type(node) is Bot:
-            return self.plain(node, env)
-        key = (node, j, frame, env)
-        got = self._memo.get(key)
+    def rows(self, style: str, shapes, basis: LopFrame, frame: LopFrame | None = None) -> list:
+        """(phi, env, vector) for each shape and each of its environments,
+        in that order."""
+        return [(phi, env, self.vector(style, phi, env, basis, frame)) for phi in shapes for env in self.envs(phi)]
+
+    def vector(self, style: str, phi: Formula, env: Env, basis: LopFrame, frame: LopFrame | None = None) -> list[int]:
+        """The named translation of phi at every nucleus of the basis."""
+        return self._eval(self.translated(style, phi), env, basis, frame, self._memo(basis, frame))
+
+    def value(self, style: str, phi: Formula, j: Nucleus, env: Env = (), frame: LopFrame | None = None) -> int:
+        """The named translation of phi at j: one entry of a vector over
+        the frame, or over the singleton {j} when j is not a member."""
+        basis = frame if frame is not None and j in frame.members else LopFrame(self.h, (j,))
+        return self.vector(style, phi, env, basis, frame)[basis.members.index(j)]
+
+    def _memo(self, basis: LopFrame, frame: LopFrame | None) -> dict:
+        """The vectors over one basis with one frame bound, by (node, env)."""
+        got = self._vec.get((basis, frame))
+        if got is None:
+            got = self._vec[(basis, frame)] = {}
+        return got
+
+    def _eval(self, node: Formula, env: Env, basis: LopFrame, frame: LopFrame | None, memo: dict) -> list[int]:
+        kind = type(node)
+        if kind is Mod:
+            return [j.table[a] for j, a in zip(basis.members, self._eval(node.body, env, basis, frame, memo))]
+        if kind is Atom or kind is Bot:
+            return [self.plain(node, env)] * len(basis)
+        key = (node, env)
+        got = memo.get(key)
         if got is not None:
             return got
         h = self.h
-        if isinstance(node, And):
-            v = h.meet[self._eval(node.left, j, frame, env)][self._eval(node.right, j, frame, env)]
-        elif isinstance(node, Or):
-            v = h.join[self._eval(node.left, j, frame, env)][self._eval(node.right, j, frame, env)]
-        elif isinstance(node, Imp):
-            v = h.imp[self._eval(node.left, j, frame, env)][self._eval(node.right, j, frame, env)]
-        elif isinstance(node, GuardAll):
+        if kind is And or kind is Or or kind is Imp:
+            op = h.meet if kind is And else h.join if kind is Or else h.imp
+            v = [op[a][b] for a, b in zip(self._eval(node.left, env, basis, frame, memo),
+                                          self._eval(node.right, env, basis, frame, memo))]
+        elif kind is GuardAll:
             if frame is None:
                 raise HModelError(f"guard over {node.frame} needs a frame")
-            v = h.meet_all(self._eval(node.body, k, frame, env) for k in self.up(frame, j))
-        elif isinstance(node, Forall):
-            v = h.meet_all(self._eval(node.body, j, frame, env_set(env, node.var, d)) for d in self.m.domain)
-        elif isinstance(node, Exists):
-            v = h.join_all(self._eval(node.body, j, frame, env_set(env, node.var, d)) for d in self.m.domain)
+            body = self._eval(node.body, env, frame, frame, self._memo(frame, frame))
+            meet, top = h.meet, h.top
+            v = []
+            for up in self.ups(frame, basis):
+                acc = top
+                for x in up:
+                    acc = meet[acc][body[x]]
+                v.append(acc)
+        elif kind is Forall or kind is Exists:
+            op = h.meet if kind is Forall else h.join
+            v = None
+            for d in self.m.domain:
+                col = self._eval(node.body, env_set(env, node.var, d), basis, frame, memo)
+                v = col if v is None else [op[a][b] for a, b in zip(v, col)]
         else:
             raise HModelError(f"cannot evaluate node {node!r}")
-        self._memo[key] = v
+        memo[key] = v
         return v
 
     # ------------------------------------------------ derived operators
@@ -272,7 +348,7 @@ class SceneEval:
 
     def envs(self, phi: Formula) -> list[Env]:
         """Every environment over phi's free variables, in sorted-variable
-        product order; the list is shared, so callers must not mutate it."""
+        product order."""
         got = self._envs.get(phi)
         if got is None:
             fv = sorted(free_vars(phi))
@@ -289,40 +365,60 @@ class SceneEval:
         return h.meet_all(self.biimp(j(p), k(p)) for p in h.carrier)
 
     # ------------------------------------------------- named predicates
-    # Each translates phi once and evaluates the tree per nucleus and env.
+    # Each reads the vectors of the translation over the frame, or over
+    # the given bases, once per environment.
     def equiv_val(self, phi: Formula, frame: LopFrame) -> int:
-        h, fc, gg = self.h, self.translated("forcing", phi), self.translated("gg", phi)
-        return h.meet_all(
-            self.biimp(self._eval(fc, j, frame, env), self._eval(gg, j, None, env))
-            for j in frame.members
-            for env in self.envs(phi)
-        )
+        meet, biimp, acc = self.h.meet, self.biimp, self.h.top
+        for env in self.envs(phi):
+            fc = self.vector("forcing", phi, env, frame, frame)
+            gg = self.vector("gg", phi, env, frame)
+            for a, b in zip(fc, gg):
+                acc = meet[acc][biimp(a, b)]
+        return acc
 
     def mono_val(self, phi: Formula, frame: LopFrame) -> int:
-        h, gg = self.h, self.translated("gg", phi)
-        return h.meet_all(
-            h.imp[self._eval(gg, j, None, env)][self._eval(gg, k, None, env)]
-            for j in frame.members
-            for env in self.envs(phi)
-            for k in self.up(frame, j)
-        )
+        return self._up_val(phi, frame, False)
 
     def nono_val(self, phi: Formula, frame: LopFrame) -> int:
-        h, gg = self.h, self.translated("gg", phi)
-        return h.meet_all(
-            h.imp[self._eval(gg, k, None, env)][self._eval(gg, j, None, env)]
-            for j in frame.members
-            for env in self.envs(phi)
-            for k in self.up(frame, j)
-        )
+        return self._up_val(phi, frame, True)
 
-    def trp_val(self, phi: Formula, j: Nucleus, k: Nucleus) -> int:
-        h, gg = self.h, self.translated("gg", phi)
-        return h.meet_all(self.biimp(k(self._eval(gg, j, None, env)), self._eval(gg, k, None, env)) for env in self.envs(phi))
+    def _up_val(self, phi: Formula, frame: LopFrame, down: bool) -> int:
+        """Meet over j in the frame, env and k above j of gg(phi) at j
+        implies gg(phi) at k (at k implies at j when `down`)."""
+        h = self.h
+        meet, imp, acc = h.meet, h.imp, h.top
+        ups = self.ups(frame, frame)
+        for env in self.envs(phi):
+            gg = self.vector("gg", phi, env, frame)
+            for a, up in zip(gg, ups):
+                for x in up:
+                    acc = meet[acc][imp[gg[x]][a] if down else imp[a][gg[x]]]
+        return acc
 
-    def cl_val(self, phi: Formula, j: Nucleus, k: Nucleus) -> int:
-        h, gg = self.h, self.translated("gg", phi)
-        return h.meet_all(self.biimp(self._eval(gg, j, None, env), k(self._eval(gg, j, None, env))) for env in self.envs(phi))
+    def trp_val(self, phi: Formula, rows: LopFrame, cols: LopFrame | None = None) -> list[list[int]]:
+        """Transfer matrix: entry [i][l] is the meet over env of
+        k(gg(phi) at j) <-> gg(phi) at k, for j = rows.members[i] and
+        k = cols.members[l]; cols defaults to rows."""
+        return self._matrix(True, phi, rows, rows if cols is None else cols)
+
+    def cl_val(self, phi: Formula, rows: LopFrame, cols: LopFrame | None = None) -> list[list[int]]:
+        """Closure matrix: entry [i][l] is the meet over env of
+        gg(phi) at j <-> k(gg(phi) at j), with j and k as in `trp_val`."""
+        return self._matrix(False, phi, rows, rows if cols is None else cols)
+
+    def _matrix(self, trp: bool, phi: Formula, rows: LopFrame, cols: LopFrame) -> list[list[int]]:
+        h = self.h
+        meet, imp, top = h.meet, h.imp, h.top
+        tables = [k.table for k in cols.members]
+        got = [[top] * len(tables) for _ in rows.members]
+        for env in self.envs(phi):
+            at_j = self.vector("gg", phi, env, rows)
+            at_k = self.vector("gg", phi, env, cols) if trp and cols is not rows else at_j
+            for row, a in zip(got, at_j):
+                for l, t in enumerate(tables):
+                    c, b = t[a], at_k[l] if trp else a  # k(gg at j), and gg at k or at j
+                    row[l] = meet[row[l]][meet[imp[c][b]][imp[b][c]]]
+        return got
 
 
 class ForcingLEval:
@@ -409,11 +505,6 @@ class ForcingLEval:
             raise HModelError(f"cannot evaluate node {phi!r}")
         self._memo[key] = v
         return v
-
-
-def eval_forcing_L(phi: Formula, m: HModel, j: Nucleus, frame: LopFrame, uenv: dict[str, HSubset]) -> int:
-    ev = ForcingLEval(m, frame)
-    return ev.value(phi, j, tuple(sorted(uenv.items())))
 
 
 # ------------------------------------------------------------- corpus
@@ -552,20 +643,19 @@ def load_model(path: str) -> Scene:
     try:
         elements = list(data["poset"]["elements"])
         covers = [tuple(c) for c in data["poset"]["covers"]]
-        raw_domain = data["domain_size"]
+        domain_size = data["domain_size"]
         raw_atoms = data["atoms"]
         frame_specs = data.get("frames", [["id"]])
     except (KeyError, TypeError) as exc:
         raise HModelError(f"{path}: malformed model file ({exc})") from exc
-    try:
-        domain_size = int(raw_domain)
-    except (TypeError, ValueError):
-        raise HModelError(f"{path}: domain_size is {raw_domain!r}, not an integer") from None
+    if type(domain_size) is not int:  # not bool, float or str
+        raise HModelError(f"{path}: domain_size is {domain_size!r}, not an integer")
     if not isinstance(raw_atoms, dict):
         raise HModelError(f"{path}: atoms must map relation names to nested lists of elements")
     if not (isinstance(frame_specs, list)
             and all(isinstance(spec, list) and all(isinstance(n, str) for n in spec) for spec in frame_specs)):
         raise HModelError(f"{path}: frames must be a list of lists of nucleus names")
+    check_poset_size(len(elements))
     h = upset_algebra(FinPoset.from_covers(elements, covers))
     atom_val = {}
     for rel, nested in raw_atoms.items():
@@ -575,11 +665,10 @@ def load_model(path: str) -> Scene:
             if isinstance(node, list):
                 for i, sub in enumerate(node):
                     walk(sub, prefix + (i,))
+            elif type(node) is int:
+                table[prefix] = node
             else:
-                try:
-                    table[prefix] = int(node)
-                except (TypeError, ValueError):
-                    raise HModelError(f"{path}: atom {rel} entry {list(prefix)} is {node!r}, not an integer") from None
+                raise HModelError(f"{path}: atom {rel} entry {list(prefix)} is {node!r}, not an integer")
 
         walk(nested, ())
         atom_val[rel] = table
@@ -780,17 +869,16 @@ def _wit(scene: Scene, **extra) -> dict:
     return out
 
 
-def _scene_nuclei(scene: Scene, cap: int = 16) -> tuple[Nucleus, ...]:
-    return scene.model.nuclei[:cap]
-
-
 def _dne(phi: Formula) -> Formula:
     return universal_closure(Imp(neg(neg(phi)), phi))
 
 
 # The suites build every derived formula (negations, closures, compounds
 # of a pair) once, before the scene loop: the evaluator's memo tables
-# then find each one by identity instead of comparing fresh trees.
+# then find each one by identity instead of comparing fresh trees.  Per
+# frame, each suite reads the vectors of its formulas over a basis once,
+# then walks them in the order of its checks: nucleus, then formula, then
+# environment, so check counts and the recorded failures follow that order.
 
 def _suite_loplem(corpus: Corpus) -> SuiteReport:
     run = _Run("loplem")
@@ -799,7 +887,7 @@ def _suite_loplem(corpus: Corpus) -> SuiteReport:
         h = m.algebra
         rng = random.Random(f"{corpus.seed}:{m.name}:loplem")
         subsets = [tuple(rng.choice(tuple(h.carrier)) for _ in m.domain) for _ in range(4)]
-        for j in _scene_nuclei(scene):
+        for j in m.nuclei[:SCENE_NUCLEI]:
             for p in h.carrier:
                 for q in h.carrier:
                     run.check_eq(h, h.imp[p][j(q)], j(h.imp[p][j(q)]), scene, item=1, j=j, p=p, q=q)
@@ -816,13 +904,12 @@ def _suite_maximal_collapse(corpus: Corpus) -> SuiteReport:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
-            for j in frame.members:
-                ante = h.meet_all(ev.eq_val(j, k) for k in ev.up(frame, j))
-                for phi in SMALL_SHAPES:
-                    for env in ev.envs(phi):
-                        run.check_le(h, ante,
-                                     ev.biimp(ev.value("forcing", phi, j, env, frame), ev.value("gg", phi, j, env)),
-                                     scene, frame=frame, j=j, formula=phi, env=env)
+            rows = [(phi, env, fc, ev.vector("gg", phi, env, frame))
+                    for phi, env, fc in ev.rows("forcing", SMALL_SHAPES, frame, frame)]
+            for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
+                ante = h.meet_all(ev.eq_val(j, frame.members[x]) for x in up)
+                for phi, env, fc, gg in rows:
+                    run.check_le(h, ante, ev.biimp(fc[i], gg[i]), scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -830,13 +917,13 @@ def _suite_jclosed(corpus: Corpus) -> SuiteReport:
     run = _Run("jclosed")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        h, basis = ev.h, ev.nuclei
         for frame in scene.frames:
-            for j in _scene_nuclei(scene):
-                for phi in GENERAL_SHAPES:
-                    for env in ev.envs(phi):
-                        v = ev.value("forcing", phi, j, env, frame)
-                        run.check_eq(h, j(v), v, scene, frame=frame, j=j, formula=phi, env=env)
+            rows = ev.rows("forcing", GENERAL_SHAPES, basis, frame)
+            for i, j in enumerate(basis.members):
+                for phi, env, vec in rows:
+                    v = vec[i]
+                    run.check_eq(h, j(v), v, scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -844,18 +931,14 @@ def _suite_monotonicity(corpus: Corpus) -> SuiteReport:
     run = _Run("monotonicity")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        h, basis = ev.h, ev.nuclei
         for frame in scene.frames:
-            for j in _scene_nuclei(scene):
-                ups = ev.up(frame, j)
-                if not ups:
-                    continue
-                for phi in GENERAL_SHAPES:
-                    for env in ev.envs(phi):
-                        vj = ev.value("forcing", phi, j, env, frame)
-                        for k in ups:
-                            run.check_le(h, vj, ev.value("forcing", phi, k, env, frame),
-                                         scene, frame=frame, j=j, k=k, formula=phi, env=env)
+            rows = [(phi, env, vj, ev.vector("forcing", phi, env, frame, frame))
+                    for phi, env, vj in ev.rows("forcing", GENERAL_SHAPES, basis, frame)]
+            for i, (j, up) in enumerate(zip(basis.members, ev.ups(frame, basis))):
+                for phi, env, vj, vk in rows:
+                    for x in up:
+                        run.check_le(h, vj[i], vk[x], scene, frame=frame, j=j, k=frame.members[x], formula=phi, env=env)
     return run.report
 
 
@@ -865,12 +948,10 @@ def _suite_jinp_monotonicity(corpus: Corpus) -> SuiteReport:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
-            for j in frame.members:
-                for phi in GENERAL_SHAPES:
-                    for env in ev.envs(phi):
-                        lhs = ev.value("forcing", phi, j, env, frame)
-                        rhs = h.meet_all(ev.value("forcing", phi, k, env, frame) for k in ev.up(frame, j))
-                        run.check_eq(h, lhs, rhs, scene, frame=frame, j=j, formula=phi, env=env)
+            rows = ev.rows("forcing", GENERAL_SHAPES, frame, frame)
+            for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
+                for phi, env, vec in rows:
+                    run.check_eq(h, vec[i], h.meet_all(vec[x] for x in up), scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -881,10 +962,11 @@ def _suite_constant_domain(corpus: Corpus) -> SuiteReport:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
-            for j in frame.members:
-                for phi, closed in shapes:
-                    lhs = h.meet_all(ev.value("forcing", phi, j, env, frame) for env in ev.envs(phi))
-                    run.check_eq(h, lhs, ev.value("forcing", closed, j, (), frame), scene, frame=frame, j=j, formula=phi)
+            rows = [(phi, [ev.vector("forcing", phi, env, frame, frame) for env in ev.envs(phi)],
+                     ev.vector("forcing", closed, (), frame, frame)) for phi, closed in shapes]
+            for i, j in enumerate(frame.members):
+                for phi, vecs, closed in rows:
+                    run.check_eq(h, h.meet_all(v[i] for v in vecs), closed[i], scene, frame=frame, j=j, formula=phi)
     return run.report
 
 
@@ -902,24 +984,26 @@ def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
     ]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        h, basis = ev.h, ev.nuclei
         for frame in scene.frames:
-            for j in _scene_nuclei(scene):
-                for phi in IQC_AXIOMS:
-                    for env in ev.envs(phi):
-                        run.check_eq(h, ev.value("forcing", phi, j, env, frame), h.top,
-                                     scene, frame=frame, j=j, formula=phi, env=env)
+            axioms = ev.rows("forcing", IQC_AXIOMS, basis, frame)
+            for i, j in enumerate(basis.members):
+                for phi, env, vec in axioms:
+                    run.check_eq(h, vec[i], h.top, scene, frame=frame, j=j, formula=phi, env=env)
             # rule closure needs both monotonicity directions, so the
             # lower nucleus must itself be a frame member
-            for j in frame.members:
-                for premises, conclusion, whole in rules:
-                    for env in ev.envs(whole):
-                        pv = h.meet_all(ev.value("forcing", f, j, env, frame) for f in premises)
-                        run.check_le(h, pv, ev.value("forcing", conclusion, j, env, frame),
-                                     scene, frame=frame, j=j, formula=conclusion, env=env)
-                for premise, conclusion in quantifier_rules:
-                    lhs = h.meet_all(ev.value("forcing", premise, j, env, frame) for env in ev.envs(premise))
-                    run.check_le(h, lhs, ev.value("forcing", conclusion, j, (), frame),
+            rule_rows = [(conclusion, env, [ev.vector("forcing", f, env, frame, frame) for f in premises],
+                          ev.vector("forcing", conclusion, env, frame, frame))
+                         for premises, conclusion, whole in rules for env in ev.envs(whole)]
+            quantifier_rows = [(conclusion, [ev.vector("forcing", premise, env, frame, frame) for env in ev.envs(premise)],
+                                ev.vector("forcing", conclusion, (), frame, frame))
+                               for premise, conclusion in quantifier_rules]
+            for i, j in enumerate(frame.members):
+                for conclusion, env, premises, concl in rule_rows:
+                    run.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
+                                 scene, frame=frame, j=j, formula=conclusion, env=env)
+                for conclusion, premises, concl in quantifier_rows:
+                    run.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
                                  scene, frame=frame, j=j, formula=conclusion)
     return run.report
 
@@ -928,7 +1012,7 @@ def _suite_literal_class(corpus: Corpus) -> SuiteReport:
     run = _Run("literal-class")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        h, basis = ev.h, ev.nuclei
         ident = identity_nucleus(h)
         id_frame = LopFrame(h, (ident,))
         frames = list(scene.frames)
@@ -936,11 +1020,7 @@ def _suite_literal_class(corpus: Corpus) -> SuiteReport:
             frames.append(id_frame)
         for phi in LITERAL_SHAPES:
             for env in ev.envs(phi):
-                rhs = h.meet_all(
-                    ev.value("forcing", phi, j, env, frame)
-                    for frame in frames
-                    for j in _scene_nuclei(scene)
-                )
+                rhs = h.meet_all(v for frame in frames for v in ev.vector("forcing", phi, env, basis, frame))
                 run.check_eq(h, ev.plain(phi, env), rhs, scene, formula=phi, env=env)
     return run.report
 
@@ -957,14 +1037,14 @@ def _suite_forcingL_equiv(corpus: Corpus) -> SuiteReport:
         h = ev.h
         for frame in scene.frames[:3]:
             evl = ForcingLEval(m, frame)
-            for j in frame.members:
-                for phi in SMALL_SHAPES:
-                    for env in ev.envs(phi):
-                        uenv = tuple(sorted(
-                            (name, evl.unit(j, evl.singleton(d))) for name, d in env
-                        ))
-                        run.check_eq(h, evl.value(phi, j, uenv), ev.value("forcing", phi, j, env, frame),
-                                     scene, frame=frame, j=j, formula=phi, env=env)
+            rows = ev.rows("forcing", SMALL_SHAPES, frame, frame)
+            for i, j in enumerate(frame.members):
+                for phi, env, vec in rows:
+                    uenv = tuple(sorted(
+                        (name, evl.unit(j, evl.singleton(d))) for name, d in env
+                    ))
+                    run.check_eq(h, evl.value(phi, j, uenv), vec[i],
+                                 scene, frame=frame, j=j, formula=phi, env=env)
     run.report.notes.append(
         f"restricted to algebras with <= 8 elements and domains <= 2 ({kept} scenes)")
     return run.report
@@ -974,13 +1054,13 @@ def _suite_kuroda_gg(corpus: Corpus) -> SuiteReport:
     run = _Run("kuroda-gg")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        h, basis = ev.h, ev.nuclei
         for frame in scene.frames:
-            for j in _scene_nuclei(scene):
-                for phi in GENERAL_SHAPES:
-                    for env in ev.envs(phi):
-                        run.check_eq(h, j(ev.value("kuroda", phi, j, env, frame)), ev.value("forcing", phi, j, env, frame),
-                                     scene, frame=frame, j=j, formula=phi, env=env)
+            rows = [(phi, env, kv, ev.vector("forcing", phi, env, basis, frame))
+                    for phi, env, kv in ev.rows("kuroda", GENERAL_SHAPES, basis, frame)]
+            for i, j in enumerate(basis.members):
+                for phi, env, kv, fv in rows:
+                    run.check_eq(h, j(kv[i]), fv[i], scene, frame=frame, j=j, formula=phi, env=env)
     return run.report
 
 
@@ -1054,23 +1134,31 @@ def _suite_trp_closure(corpus: Corpus) -> SuiteReport:
              for phi, psi in TRP_PAIRS]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
-        for j in _scene_nuclei(scene):
-            for k in _scene_nuclei(scene):
+        h, basis = ev.h, ev.nuclei
+        t_atom = ev.trp_val(atom, basis)
+        mats = [(phi, ev.trp_val(phi, basis), ev.trp_val(psi, basis), ev.trp_val(conj, basis),
+                 ev.trp_val(disj, basis), ev.trp_val(ex, basis), ev.cl_val(psi, basis),
+                 ev.trp_val(imp, basis), ev.cl_val(phi, basis), ev.trp_val(univ, basis))
+                for phi, psi, conj, disj, ex, imp, univ in pairs]
+        for i, j in enumerate(basis.members):
+            for l, k in enumerate(basis.members):
                 le = ev.le_val(j, k)
-                run.check_le(h, le, ev.trp_val(atom, j, k), scene, item=1, j=j, k=k)
-                for phi, psi, conj, disj, ex, imp, univ in pairs:
-                    tp, tq = ev.trp_val(phi, j, k), ev.trp_val(psi, j, k)
-                    both = h.meet[tp][tq]
-                    run.check_le(h, both, ev.trp_val(conj, j, k), scene, item=2, j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[both][le], ev.trp_val(disj, j, k), scene, item=3, j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[both][le], ev.trp_val(ex, j, k),
-                                 scene, item="3-exists", j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[both][ev.cl_val(psi, j, k)], ev.trp_val(imp, j, k),
-                                 scene, item=4, j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[tp][ev.cl_val(phi, j, k)], ev.trp_val(univ, j, k),
+                run.check_le(h, le, t_atom[i][l], scene, item=1, j=j, k=k)
+                for phi, t_phi, t_psi, t_conj, t_disj, t_ex, cl_psi, t_imp, cl_phi, t_univ in mats:
+                    tp = t_phi[i][l]
+                    both = h.meet[tp][t_psi[i][l]]
+                    run.check_le(h, both, t_conj[i][l], scene, item=2, j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[both][le], t_disj[i][l], scene, item=3, j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[both][le], t_ex[i][l], scene, item="3-exists", j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[both][cl_psi[i][l]], t_imp[i][l], scene, item=4, j=j, k=k, formula=phi)
+                    run.check_le(h, h.meet[tp][cl_phi[i][l]], t_univ[i][l],
                                  scene, item="4-forall", j=j, k=k, formula=phi)
     return run.report
+
+
+def _dense_basis(ev: SceneEval) -> LopFrame:
+    """The dense nuclei of the scene basis, in basis order."""
+    return LopFrame(ev.h, tuple(j for j in ev.nuclei.members if is_dense(j)))
 
 
 def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
@@ -1080,12 +1168,14 @@ def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
-        dense = [j for j in _scene_nuclei(scene) if is_dense(j)]
-        for j in dense:
-            run.check_le(h, ev.plain(dne_atom, ()), ev.value("gg", dne_atom, j), scene, item=1, j=j)
-            for k in dense:
-                for phi, dne in shapes:
-                    run.check_le(h, ev.value("gg", dne, j), ev.cl_val(phi, j, k), scene, item=2, j=j, k=k, formula=phi)
+        dense = _dense_basis(ev)
+        plain, at_j = ev.plain(dne_atom, ()), ev.vector("gg", dne_atom, (), dense)
+        rows = [(phi, ev.vector("gg", dne, (), dense), ev.cl_val(phi, dense)) for phi, dne in shapes]
+        for i, j in enumerate(dense.members):
+            run.check_le(h, plain, at_j[i], scene, item=1, j=j)
+            for l, k in enumerate(dense.members):
+                for phi, dv, cl in rows:
+                    run.check_le(h, dv[i], cl[i][l], scene, item=2, j=j, k=k, formula=phi)
     return run.report
 
 
@@ -1094,14 +1184,15 @@ def _suite_trp_imp_mn(corpus: Corpus) -> SuiteReport:
     shapes = [(phi, neg(neg(phi))) for phi in MIXED_SHAPES]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        h, basis = ev.h, ev.nuclei
         dense_frames = [f for f in scene.frames if all(is_dense(k) for k in f.members)]
         for frame in dense_frames:
-            for j in _scene_nuclei(scene):
-                for phi, nnp in shapes:
-                    ante = h.meet_all(ev.trp_val(phi, j, k) for k in frame.members)
-                    run.check_le(h, ante, h.meet[ev.mono_val(nnp, frame)][ev.nono_val(nnp, frame)],
-                                 scene, frame=frame, j=j, formula=phi)
+            # row i of the matrix: j = basis entry i, k over the frame
+            rows = [(phi, ev.trp_val(phi, basis, frame), h.meet[ev.mono_val(nnp, frame)][ev.nono_val(nnp, frame)])
+                    for phi, nnp in shapes]
+            for i, j in enumerate(basis.members):
+                for phi, trp, rhs in rows:
+                    run.check_le(h, h.meet_all(trp[i]), rhs, scene, frame=frame, j=j, formula=phi)
     return run.report
 
 
@@ -1114,12 +1205,13 @@ def _suite_trp_ladder(corpus: Corpus) -> SuiteReport:
         kept += 1
         ev = SceneEval(scene.model)
         h = ev.h
-        dense = [j for j in _scene_nuclei(scene) if is_dense(j)]
-        for j in dense:
-            for k in dense:
+        dense = _dense_basis(ev)
+        mats = [(phi, ev.trp_val(phi, dense)) for phi in PI1_SHAPES + SIGMA1_SHAPES]
+        for i, j in enumerate(dense.members):
+            for l, k in enumerate(dense.members):
                 le = ev.le_val(j, k)
-                for phi in PI1_SHAPES + SIGMA1_SHAPES:
-                    run.check_le(h, le, ev.trp_val(phi, j, k), scene, j=j, k=k, formula=phi)
+                for phi, trp in mats:
+                    run.check_le(h, le, trp[i][l], scene, j=j, k=k, formula=phi)
     run.report.notes.append(f"level-0 ladder on two-valued-atom models ({kept} scenes)")
     return run.report
 
@@ -1214,11 +1306,7 @@ def search_countermodel(target: str, corpus: Corpus, formula_set: str = "implica
                 elif target == "nono":
                     v = ev.nono_val(phi, frame)
                 else:
-                    v = h.meet_all(
-                        ev.trp_val(phi, j, k)
-                        for j in frame.members
-                        for k in frame.members
-                    )
+                    v = h.meet_all(x for row in ev.trp_val(phi, frame) for x in row)
                 if v != h.top:
                     return {
                         "found": True,

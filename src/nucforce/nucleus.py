@@ -64,7 +64,10 @@ class Nucleus:
 
 @dataclass(frozen=True)
 class LopFrame:
-    """A finite set of nuclei on a shared algebra, in a fixed order."""
+    """A finite set of nuclei on a shared algebra, in a fixed order.
+
+    Besides a frame of the forcing translation, it serves as the basis
+    of `hmodel.SceneEval`'s vectors: entry i belongs to `members[i]`."""
 
     algebra: HeytingAlg
     members: tuple[Nucleus, ...]

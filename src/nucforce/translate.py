@@ -13,7 +13,8 @@ consequents and under universals).
 
 In every output each node has at most one free nucleus variable: j at
 the root, and the guard's k throughout a GuardAll body.
-`hmodel.SceneEval` relies on this to memoize by the current nucleus.
+`hmodel.SceneEval` relies on this to evaluate a node at every nucleus of
+a basis as one vector, and a GuardAll body over the frame.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nucforce import cli
+from nucforce.algebra import FinPoset
 from nucforce.realizability import app, diverging_code, encode, numt
 
 
@@ -43,8 +44,14 @@ def test_nuclei_command(capsys):
     assert {tuple(n["table"]) for n in report["nuclei"]} == {(0, 1), (1, 1)}
 
 
-@pytest.mark.parametrize("spec", ["chain:x", "chain:-1", "antichain:-2", "chain:100"])
-def test_nuclei_rejects_malformed_poset_spec(capsys, spec):
+@pytest.mark.parametrize("spec", ["chain:x", "chain:-1", "antichain:-2", "chain:100", "chain:1000"])
+def test_nuclei_rejects_malformed_poset_spec(capsys, monkeypatch, spec):
+    # an oversized poset is refused before it is built: the closure and
+    # the axiom checks take time cubic in the number of points
+    def refuse(elements, covers):
+        raise AssertionError(f"built a poset of {len(elements)} points")
+
+    monkeypatch.setattr(FinPoset, "from_covers", staticmethod(refuse))
     code, out, err = run(capsys, "nuclei", "--poset", spec)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -168,6 +175,25 @@ MALFORMED_INPUTS = {
         "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": [1]})],
     "nucleus-spec-superscript-digit": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
         "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {}, "frames": [["\u00b2"]]})],
+    "float-domain": lambda tmp: ["check", "--suite", "jclosed", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 2.7, "atoms": {"R": [0, 1], "Q": [1, 1]}})],
+    "bool-domain": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": True, "atoms": {"R": [0]}})],
+    "bool-atom-entry": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {"R": [True]}})],
+    "float-atom-entry": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {"R": [1.0]}})],
+    "domain-over-cap": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 1000000, "atoms": {}})],
+    "atom-table-not-total": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 3, "atoms": {"R": [1]}})],
+    "atom-table-ragged": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": ["a"], "covers": []}, "domain_size": 2, "atoms": {"S": [[0, 1], [1]]}})],
+    "poset-file-over-cap": lambda tmp: ["nuclei", "--poset", _write(tmp, "p.json", {
+        "elements": [f"q{i}" for i in range(1000)], "covers": [[f"q{i}", f"q{i + 1}"] for i in range(999)]})],
+    "model-poset-over-cap": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": [f"q{i}" for i in range(1000)], "covers": [[f"q{i}", f"q{i + 1}"] for i in range(999)]},
+        "domain_size": 1, "atoms": {}})],
 }
 
 

@@ -79,23 +79,58 @@ SHAPES = [
 ]
 
 
+def _outside_first_sixteen():
+    """A 5-point scene with a frame member past the first 16 nuclei, so
+    that a guard's frame is not part of the scene basis."""
+    for scene in build_corpus(point_bound=5).scenes:
+        first = scene.model.nuclei[:16]
+        frames = [f for f in scene.frames if any(k not in first for k in f.members)]
+        if frames:
+            return scene, frames[:1]
+    raise AssertionError("no frame reaches past the first 16 nuclei")
+
+
 def test_scene_eval_matches_translate_then_eval_m():
-    """The memoized evaluator must agree, for every translation, with the
-    unmemoized reference: translate syntactically, then `eval_m`."""
-    corpus = builtin_corpus("builtin:small")
-    for scene in corpus.scenes[:6]:
+    """The vector evaluator must agree, entry by entry and for every
+    translation, with the unmemoized reference: translate syntactically,
+    then `eval_m` at each nucleus.  Vectors are compared over the scene
+    basis and over the frame; the transfer and closure matrices against
+    the biimplications of `eval_m` values computed here."""
+    small = builtin_corpus("builtin:small")
+    cases = [(scene, scene.frames[:2]) for scene in small.scenes[:6]]
+    cases.append(_outside_first_sixteen())
+    for scene, frames in cases:
         m = scene.model
+        h = m.algebra
         ev = SceneEval(m)
-        for frame in scene.frames[:2]:
-            for j in frame.members:
-                nbind, fbind = {"j": j}, {"P": frame}
-                for src in SHAPES:
-                    phi = parse(src)
-                    envs = [(("x", d),) for d in m.domain]
+        basis = ev.nuclei
+        assert basis.members == m.nuclei[:16]
+        envs = [(("x", d),) for d in m.domain]
+        for frame in frames:
+            for src in SHAPES:
+                phi = parse(src)
+                for style, translate in TRANSLATIONS.items():
+                    t = translate(phi)
                     for env in envs:
-                        for style, translate in TRANSLATIONS.items():
-                            staged = eval_m(translate(phi), m, env, nbind, fbind)
-                            assert ev.value(style, phi, j, env, frame) == staged, (style, src, env)
+                        for b in (basis, frame):
+                            want = [eval_m(t, m, env, {"j": j}, {"P": frame}) for j in b.members]
+                            assert ev.vector(style, phi, env, b, frame) == want, (style, src, env)
+                            assert [ev.value(style, phi, j, env, frame) for j in b.members] == want
+
+                gg = TRANSLATIONS["gg"](phi)
+                at = {(j, env): eval_m(gg, m, env, {"j": j}, {}) for j in basis.members + frame.members
+                      for env in envs}
+
+                def biimp(a, b):
+                    return h.meet[h.imp[a][b]][h.imp[b][a]]
+
+                for rows, cols in ((basis, basis), (frame, frame), (basis, frame)):
+                    trp = [[h.meet_all(biimp(k(at[j, env]), at[k, env]) for env in envs) for k in cols.members]
+                           for j in rows.members]
+                    cl = [[h.meet_all(biimp(at[j, env], k(at[j, env])) for env in envs) for k in cols.members]
+                          for j in rows.members]
+                    assert ev.trp_val(phi, rows, cols) == trp, src
+                    assert ev.cl_val(phi, rows, cols) == cl, src
 
 
 def test_gg_with_identity_nucleus_is_plain_value():
@@ -245,12 +280,13 @@ def test_suite_report_serialises():
 
 
 def test_failing_suites_record_the_first_twenty_witnesses(monkeypatch):
-    """Every translated formula evaluates to bottom: the suites must
+    """Every vector of a translated formula reads bottom: the suites must
     report failures with full witnesses, keep at most 20, and still count
     every check."""
     corpus = builtin_corpus("builtin:small")
-    checks = {name: run_suite(name, corpus).checks for name in ("jclosed", "dense-dne")}
-    monkeypatch.setattr(SceneEval, "value", lambda self, *args, **kwargs: self.h.bottom)
+    checks = {name: run_suite(name, corpus).checks for name in ("jclosed", "dense-dne", "trp-closure")}
+    monkeypatch.setattr(SceneEval, "vector",
+                        lambda self, style, phi, env, basis, frame=None: [self.h.bottom] * len(basis))
 
     # the first scene: one point, two-element algebra, nuclei id = [0, 1]
     # and top = [1, 1], frames [id], [top], [id, top], domain {0}; bottom
@@ -270,6 +306,15 @@ def test_failing_suites_record_the_first_twenty_witnesses(monkeypatch):
         ("item", 1), ("j", [0, 1]),
     ]
     assert len(report.failures) == 20 and report.checks == checks["dense-dne"]
+
+    # j = id and k = top: id <= top holds (lhs 1), but the patched gg
+    # values give top(0) <-> 0, that is 1 <-> 0 = 0, for the atom
+    report = run_suite("trp-closure", corpus)
+    assert list(report.failures[0].items()) == [
+        ("lhs", 1), ("rhs", 0), ("relation", "<="), ("model", "poset0-scene0"),
+        ("item", 1), ("j", [0, 1]), ("k", [1, 1]),
+    ]
+    assert len(report.failures) == 20 and report.checks == checks["trp-closure"]
 
 
 def test_search_targets_registry():
