@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 from itertools import product
 
 MAX_POINTS = 16
-SIZE_CAP = 2 ** MAX_POINTS  # Up(P) of an n-point antichain has 2^n elements
+# Up(P) has up to 2^|P| elements and three operation tables of that size
+# squared; the 10-point antichain, at this cap, takes 1.5 s and 40 MB on
+# a 2-core x86 host
+MAX_ELEMENTS = 1024
 
 
 class AlgebraError(ValueError):
@@ -82,7 +85,7 @@ def check_poset_size(n: int) -> None:
     this before `from_covers`, whose closure and axiom checks take time
     cubic in the number of points; `FinPoset` itself takes any size."""
     if n > MAX_POINTS:
-        raise AlgebraError(f"poset of {n} points exceeds the {SIZE_CAP}-element algebra cap")
+        raise AlgebraError(f"poset of {n} points exceeds the {MAX_POINTS}-point cap")
 
 
 def poset_violations(elements, leq) -> list[str]:
@@ -196,7 +199,10 @@ def upset_algebra(p: FinPoset) -> HeytingAlg:
                 return False
         return True
 
-    masks = sorted(m for m in range(2 ** n) if is_upset(m))
+    masks = [m for m in range(2 ** n) if is_upset(m)]  # ascending
+    if len(masks) > MAX_ELEMENTS:
+        raise AlgebraError(f"the {n}-point poset has {len(masks)} up-sets, "
+                           f"over the {MAX_ELEMENTS}-element algebra cap")
     pos = {m: i for i, m in enumerate(masks)}
     full = (1 << n) - 1
 

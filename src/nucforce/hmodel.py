@@ -1086,16 +1086,14 @@ def _suite_emn(corpus: Corpus) -> SuiteReport:
         h = ev.h
         for frame in scene.frames:
             for phi, np, nnp, dne in shapes:
-                e = ev.equiv_val(phi, frame)
-                run.check_le(h, ev.nono_val(nnp, frame), ev.mono_val(np, frame),
-                             scene, item=1, frame=frame, formula=phi)
-                run.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(np, frame),
-                             scene, item=2, frame=frame, formula=phi)
-                run.check_le(h, h.meet_all([e, ev.mono_val(np, frame), ev.mono_val(nnp, frame)]),
-                             ev.equiv_val(nnp, frame),
+                e, e_np, e_nnp = (ev.equiv_val(x, frame) for x in (phi, np, nnp))
+                m_np, m_nnp, m_dne = (ev.mono_val(x, frame) for x in (np, nnp, dne))
+                n_nnp = ev.nono_val(nnp, frame)
+                run.check_le(h, n_nnp, m_np, scene, item=1, frame=frame, formula=phi)
+                run.check_le(h, h.meet[e][m_np], e_np, scene, item=2, frame=frame, formula=phi)
+                run.check_le(h, h.meet_all([e, m_np, m_nnp]), e_nnp,
                              scene, item=3, frame=frame, formula=phi)
-                run.check_le(h, h.meet[e][ev.nono_val(nnp, frame)], ev.mono_val(dne, frame),
-                             scene, item=4, frame=frame, formula=phi)
+                run.check_le(h, h.meet[e][n_nnp], m_dne, scene, item=4, frame=frame, formula=phi)
     return run.report
 
 

@@ -1,4 +1,4 @@
-"""Bounded combinatory machine and oracle-relative realizability checkers.
+"""Bounded combinatory machine and oracle-relative realizability.
 
 The machine is a small combinatory calculus (S, K, pairing, successor,
 case split, fixed point, an oracle hook, and a bounded halting test)
@@ -7,11 +7,12 @@ pairing, every natural number decodes to a term, and numerals in head
 position apply as the code they denote, so the reduct of an application
 is always available as a number again.
 
-Three checkers share the machine: plain realizability relative to one
-oracle, the extension-poset variant where implications and universals
-quantify over larger oracles, and the standard-frame entry point that
-first validates the extension/reducibility agreement and then defers to
-the extension-poset clauses.
+One checker runs on the machine: realizability over a poset of oracles
+ordered by extension, where implications and universals quantify over
+the larger oracles.  Plain realizability relative to one oracle is its
+case on the one-point frame, and the standard-frame entry point first
+validates the extension/reducibility agreement and then defers to the
+same clauses.
 
 All verdicts are budgeted: Realized is certified only for the supplied
 fuel, universe, and candidate bounds; Refuted carries a concrete
@@ -250,6 +251,8 @@ class OraclePoset:
     """Finite set of oracles ordered by extension."""
 
     oracles: tuple[Oracle, ...]
+    # member table -> the members extending it, built on the first `up`
+    _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tables = [o.table for o in self.oracles]
@@ -260,7 +263,14 @@ class OraclePoset:
         return any(o.table == f.table for o in self.oracles)
 
     def up(self, f: Oracle) -> list[Oracle]:
-        return [g for g in self.oracles if g.extends(f)]
+        """The members that extend the member f, f included, in poset order."""
+        if not self._up:
+            for g in self.oracles:
+                self._up[g.table] = [h for h in self.oracles if h.extends(g)]
+        got = self._up.get(f.table)
+        if got is None:
+            raise RealizabilityError(f"oracle {f.label} is not a member of the poset")
+        return got
 
 
 def load_oracle(path: str) -> Oracle:
@@ -489,27 +499,19 @@ def apply(e: int, n: int, f: Oracle, fuel: int = DEFAULT_BUDGETS.fuel) -> Outcom
                    budgets={"fuel": fuel}, trace=trace)
 
 
-def _code_apply(e: int, n: int, f: Oracle, fuel: int, consulted: set | None = None):
-    """Internal application used by the checkers.
+def _code_apply(e: int, n: int, f: Oracle, fuel: int):
+    """Internal application used by the checker.
 
     Unlike `apply`, a non-numeral normal form is returned as its own
     code, so partially applied combinators can be passed along as
     higher-type realizers.  Returns (status, value_or_detail).
     """
-    cell = [fuel]
-    local: set = set()
     try:
-        nf = _reduce(("app", ("num", e), ("num", n)), f, cell, local)
+        nf = _reduce(("app", ("num", e), ("num", n)), f, [fuel], set())
     except _Stuck as exc:
-        if consulted is not None:
-            consulted.update(local)
         return "F", str(exc)
     except _Exhausted:
-        if consulted is not None:
-            consulted.update(local)
         return "E", "fuel"
-    if consulted is not None:
-        consulted.update(local)
     if isinstance(nf, tuple) and nf[0] == "num":
         return "R", nf[1]
     return "R", encode(nf)
@@ -554,110 +556,7 @@ def _require_checkable(phi: Formula):
         raise RealizabilityError("abstract relation atoms are not supported by the machine backend")
 
 
-# ------------------------------------------------------- plain checker
-
-class _KleeneChecker:
-    """Realizability relative to a single oracle.
-
-    Implications and universals apply codes with the oracle available;
-    the consequent-side modality is absorbed into oracle application
-    (the guarded form of the relative implication).
-    """
-
-    def __init__(self, oracle: Oracle, cfg: Budgets):
-        self.f = oracle
-        self.cfg = cfg
-        self._sets: dict = {}
-
-    def status(self, e: int, phi: Formula):
-        if isinstance(phi, Bot):
-            return "F", "falsum has no realizers"
-        if isinstance(phi, (Eq, Atom)):
-            if _atom_true(phi):
-                return "R", ""
-            return "F", f"atom {print_formula(phi)} is false"
-        if isinstance(phi, And):
-            n, m = unpair(e)
-            st1, d1 = self.status(n, phi.left)
-            if st1 == "F":
-                return "F", f"left component {n}: {d1}"
-            st2, d2 = self.status(m, phi.right)
-            if st2 == "F":
-                return "F", f"right component {m}: {d2}"
-            return ("E", "budget") if "E" in (st1, st2) else ("R", "")
-        if isinstance(phi, Or):
-            tag, n = unpair(e)
-            if tag == 0:
-                return self.status(n, phi.left)
-            if tag == 1:
-                return self.status(n, phi.right)
-            return "F", f"disjunction tag {tag} is neither 0 nor 1"
-        if isinstance(phi, Exists):
-            w, r = unpair(e)
-            st, d = self.status(r, subst(phi.body, {phi.var: num(w)}))
-            if st == "F":
-                return "F", f"witness {w}: {d}"
-            return st, d
-        if isinstance(phi, Forall):
-            pending = False
-            for m in range(self.cfg.universe):
-                st, v = _code_apply(e, m, self.f, self.cfg.fuel)
-                if st == "F":
-                    return "F", f"application fails at {m}: {v}"
-                if st == "E":
-                    pending = True
-                    continue
-                st2, d2 = self.status(v, subst(phi.body, {phi.var: num(m)}))
-                if st2 == "F":
-                    return "F", f"instance {m} fails: {d2}"
-                if st2 == "E":
-                    pending = True
-            return ("E", "budget") if pending else ("R", "")
-        if isinstance(phi, Imp):
-            members, exhausted = self.members(phi.left)
-            pending = exhausted
-            for n in members:
-                st, v = _code_apply(e, n, self.f, self.cfg.fuel)
-                if st == "F":
-                    return "F", f"application fails on antecedent realizer {n}: {v}"
-                if st == "E":
-                    pending = True
-                    continue
-                st2, d2 = self.status(v, phi.right)
-                if st2 == "F":
-                    return "F", f"consequent fails for antecedent realizer {n}: {d2}"
-                if st2 == "E":
-                    pending = True
-            return ("E", "budget") if pending else ("R", "")
-        raise RealizabilityError(f"cannot check node {phi!r}")
-
-    def members(self, phi: Formula):
-        key = print_formula(phi)
-        got = self._sets.get(key)
-        if got is None:
-            members = []
-            exhausted = False
-            for c in range(self.cfg.candidates):
-                st, _ = self.status(c, phi)
-                if st == "R":
-                    members.append(c)
-                elif st == "E":
-                    exhausted = True
-            got = (members, exhausted)
-            self._sets[key] = got
-        return got
-
-
-def realizes(e: int, phi: Formula, f: Oracle, cfg: Budgets = DEFAULT_BUDGETS) -> Outcome:
-    """Budgeted realizability of a closed arithmetic sentence relative to f."""
-    _require_checkable(phi)
-    st, detail = _KleeneChecker(f, cfg).status(e, phi)
-    verdict = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}[st]
-    return Outcome(verdict, detail=detail, budgets=cfg.to_dict(),
-                   trace={"oracle": f.label, "code": e})
-
-
-# --------------------------------------------- extension-poset checker
+# ------------------------------------------------------------- checker
 
 class _ExtensionChecker:
     """Realizability over a poset of oracles ordered by extension.
@@ -665,6 +564,9 @@ class _ExtensionChecker:
     Implications and universals quantify over every extension of the
     current oracle in the poset and apply codes with that extension
     available; the remaining clauses behave as at the current oracle.
+    On a one-point frame this is plain realizability relative to the
+    oracle, with the consequent-side modality absorbed into oracle
+    application (the guarded form of the relative implication).
     """
 
     def __init__(self, poset: OraclePoset, cfg: Budgets):
@@ -738,7 +640,7 @@ class _ExtensionChecker:
         raise RealizabilityError(f"cannot check node {phi!r}")
 
     def members(self, phi: Formula, f: Oracle):
-        key = (print_formula(phi), f.table)
+        key = (phi, f.table)
         got = self._sets.get(key)
         if got is None:
             members = []
@@ -754,17 +656,32 @@ class _ExtensionChecker:
         return got
 
 
+_VERDICT = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}
+
+
+def _check(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets, trace: dict) -> Outcome:
+    st, detail = _ExtensionChecker(T, cfg).status(e, phi, f)
+    return Outcome(_VERDICT[st], detail=detail, budgets=cfg.to_dict(), trace=trace)
+
+
+def realizes(e: int, phi: Formula, f: Oracle, cfg: Budgets = DEFAULT_BUDGETS) -> Outcome:
+    """Budgeted realizability of a closed arithmetic sentence relative to f.
+
+    This is the one-point case of `djg_realizes`: over the frame {f}
+    implications and universals apply codes with f alone available.
+    """
+    _require_checkable(phi)
+    return _check(e, phi, f, OraclePoset((f,)), cfg, {"oracle": f.label, "code": e})
+
+
 def djg_realizes(e: int, phi: Formula, f: Oracle, T: OraclePoset,
                  cfg: Budgets = DEFAULT_BUDGETS) -> Outcome:
     """Extension-poset realizability of phi at the node f of T."""
     _require_checkable(phi)
     if f not in T:
         raise RealizabilityError(f"oracle {f.label} is not a member of the poset")
-    st, detail = _ExtensionChecker(T, cfg).status(e, phi, f)
-    verdict = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}[st]
-    return Outcome(verdict, detail=detail, budgets=cfg.to_dict(),
-                   trace={"oracle": f.label, "code": e,
-                          "poset": [o.label for o in T.oracles]})
+    return _check(e, phi, f, T, cfg, {"oracle": f.label, "code": e,
+                                      "poset": [o.label for o in T.oracles]})
 
 
 def check_assumption_A(T: OraclePoset, bound: int = DEFAULT_BUDGETS.witness,
@@ -1041,11 +958,10 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
     disj = universal_instance(PiOrPi(1), e_div, e_div, e_halt, e_halt)
     target = Imp(neg(neg(disj)), disj)
     shared = _ExtensionChecker(chain, cfg)
-    verdict_of = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}
     entries = []
     for c in candidates:
         st, d = shared.status(c, target, f0)
-        entries.append({"candidate": c, "verdict": verdict_of[st], "detail": d})
+        entries.append({"candidate": c, "verdict": _VERDICT[st], "detail": d})
     report["sections"]["ii"] = {
         "label": "supplied candidates refuted on the disjunctive DNE instance",
         "green": (not candidates) or all(en["verdict"] == REFUTED for en in entries),

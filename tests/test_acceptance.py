@@ -5,6 +5,7 @@ test also enforces its wall-clock budget.
 """
 
 import json
+import os
 import time
 from itertools import product
 
@@ -34,6 +35,8 @@ from nucforce.realizability import (
     separation_demo,
 )
 from nucforce import cli
+
+from kleene_reference import VERDICT_OF, kleene_verdict
 
 _CORPUS_CACHE = {}
 
@@ -162,15 +165,16 @@ def test_criterion_5_realizability_oracle_equivalence():
                Oracle.from_dict("g2", {1: 1, 3: 0})]
     sentences = [parse(s) for s in SENTENCE_STOCK]
 
-    # singleton frames: extension semantics equals plain Kleene semantics
+    # singleton frames: plain and extension semantics both give the
+    # verdicts of the independent Kleene reference
     cases = 0
     for f in oracles:
         singleton = OraclePoset((f,))
         for e in range(11):
             for phi in sentences:
-                a = realizes(e, phi, f, cfg)
-                b = djg_realizes(e, phi, f, singleton, cfg)
-                assert a.verdict == b.verdict, (e, phi, f.label)
+                want = VERDICT_OF[kleene_verdict(e, phi, f, cfg)]
+                assert realizes(e, phi, f, cfg).verdict == want, (e, phi, f.label)
+                assert djg_realizes(e, phi, f, singleton, cfg).verdict == want, (e, phi, f.label)
                 cases += 1
     assert cases >= 500
 
@@ -239,6 +243,9 @@ def test_criterion_7_separation_demo_all_green():
     assert report["header"]["budgets"] == {
         "fuel": 100000, "witness": 64, "universe": 64, "candidates": 256,
     }
+    # the whole report, byte for byte (rewritten by tests/test_golden.py)
+    with open(os.path.join(os.path.dirname(__file__), "golden", "separation_demo.json")) as fh:
+        assert json.dumps(report, indent=1, sort_keys=True) + "\n" == fh.read()
     assert time.time() - start < 300
 
 

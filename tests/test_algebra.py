@@ -193,8 +193,12 @@ def test_validate_heyting_catches_non_distributive_lattice():
 
 
 def test_size_cap_enforced():
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="17 points exceeds the 16-point cap"):
         upset_algebra(FinPoset.antichain(17))
+    # 16 points pass, but 2^11 up-sets are over the element cap
+    with pytest.raises(AlgebraError, match="2048 up-sets, over the 1024-element"):
+        upset_algebra(FinPoset.antichain(11))
+    assert upset_algebra(FinPoset.chain(16)).size == 17
 
 
 @st.composite

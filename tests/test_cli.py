@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,18 @@ def test_nuclei_rejects_malformed_poset_spec(capsys, monkeypatch, spec):
     code, out, err = run(capsys, "nuclei", "--poset", spec)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, spec", [("algebra", "antichain:11"), ("nuclei", "antichain:16")])
+def test_oversized_algebra_is_refused_before_its_tables(capsys, command, spec):
+    # 2,048 and 65,536 up-sets: counting them is cheap, while the three
+    # operation tables would take seconds for 11 points and exhaust
+    # memory for 16
+    start = time.time()
+    code, out, err = run(capsys, command, "--poset", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "over the 1024-element algebra cap" in err
+    assert time.time() - start < 2.0
 
 
 def test_translate_golden(capsys):

@@ -1,24 +1,66 @@
-"""Golden reports: every suite and every search on `builtin:small`.
+"""Golden reports: every suite and every search on `builtin:small`, and
+the `realize` command with and without an oracle frame.
 
 The file `golden/small_reports.json` holds the `to_dict()` of all 18
 suites and the result of `search_countermodel` for the four targets on
 the implicational and the implication-free formulas, all on the
 `builtin:small` corpus.  A change to a check count, a note, a failure
-entry or its order, or a search verdict fails this test.  After a change
-that is meant to alter a report, rewrite the file with
+entry or its order, or a search verdict fails this test.  It also holds
+the exit code, standard output and standard error of `nucforce realize`
+on a realized sentence and on refuted universals and implications (each
+way a `forall` or an `->` can be refuted), over one oracle and over a
+two-oracle chain.  `golden/separation_demo.json` holds the default
+`separation_demo()` report, which acceptance criterion 7 compares.
+After a change that is meant to alter a report, rewrite both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
+from nucforce import cli
 from nucforce.hmodel import SEARCH_TARGETS, SUITES, builtin_corpus, run_suite, search_countermodel
+from nucforce.realizability import separation_demo
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "small_reports.json")
+DEMO_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "separation_demo.json")
 SEARCH_SETS = ("implicational", "imp-free")
+
+# (name, code, sentence); the refuted ones cover, in order, a failing
+# instance, a failing application under `forall`, a failing application
+# to an antecedent realizer and a failing consequent
+REALIZE_CASES = [
+    ("realized", "1", "exists x. x = 1"),
+    ("forall-instance", "K", "forall x. x = 0"),
+    ("forall-application", "0", "forall x. x = x"),
+    ("imp-application", "0", "0 = 0 -> 0 = 0"),
+    ("imp-consequent", "K", "0 = 0 -> bot"),
+]
+ORACLE = {"label": "f0", "table": {}}
+FRAME = {"oracles": [ORACLE, {"label": "f1", "table": {"0": 1}}], "edges": [[0, 1]]}
+
+
+def _realize_reports() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        oracle, frame = os.path.join(tmp, "oracle.json"), os.path.join(tmp, "frame.json")
+        for path, doc in ((oracle, ORACLE), (frame, FRAME)):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+        for name, code, sentence in REALIZE_CASES:
+            argv = ["realize", "--code", code, "--formula", sentence, "--oracle", oracle]
+            for key, extra in ((name, []), (f"{name}/frame", ["--frame", frame])):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    status = cli.main(argv + extra)
+                out[key] = {"exit": status, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+    return out
 
 
 def _reports() -> dict:
@@ -27,13 +69,18 @@ def _reports() -> dict:
         "check": {name: run_suite(name, corpus).to_dict() for name in sorted(SUITES)},
         "search": {f"{target}/{fset}": search_countermodel(target, corpus, formula_set=fset)
                    for target in SEARCH_TARGETS for fset in SEARCH_SETS},
+        "realize": _realize_reports(),
     }
     return json.loads(json.dumps(out))  # tuples become lists, as in the file
 
 
-def test_small_corpus_reports_match_golden():
+def _golden() -> dict:
     with open(GOLDEN) as fh:
-        want = json.load(fh)
+        return json.load(fh)
+
+
+def test_small_corpus_reports_match_golden():
+    want = _golden()
     got = _reports()
     assert sorted(got["check"]) == sorted(want["check"])
     for name in want["check"]:
@@ -41,7 +88,16 @@ def test_small_corpus_reports_match_golden():
     assert got["search"] == want["search"]
 
 
+def test_realize_reports_match_golden():
+    want = _golden()["realize"]
+    got = _realize_reports()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
 if __name__ == "__main__":
-    with open(GOLDEN, "w") as fh:
-        json.dump(_reports(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, report in ((GOLDEN, _reports()), (DEMO_GOLDEN, separation_demo())):
+        with open(path, "w") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True)
+            fh.write("\n")

@@ -49,6 +49,8 @@ from nucforce.realizability import (
 )
 from nucforce.formula import Sigma, universal_instance
 
+from kleene_reference import VERDICT_OF, kleene_verdict
+
 
 # ------------------------------------------------------------- pairing
 
@@ -405,9 +407,33 @@ def test_djg_on_singleton_frame_agrees_with_plain_realizes():
         T = OraclePoset((f,))
         for e in range(12):
             for phi in sentences:
-                a = realizes(e, phi, f, cfg)
-                b = djg_realizes(e, phi, f, T, cfg)
-                assert a.verdict == b.verdict, (e, phi, a.verdict, b.verdict)
+                want = VERDICT_OF[kleene_verdict(e, phi, f, cfg)]
+                assert realizes(e, phi, f, cfg).verdict == want, (e, phi)
+                assert djg_realizes(e, phi, f, T, cfg).verdict == want, (e, phi)
+
+
+def test_singleton_frame_matches_kleene_reference_on_applicable_codes():
+    # every code below 16 decodes to the zero numeral, so applying it
+    # fails at once; these codes apply, and so reach the consequent of
+    # an implication and every instance of a universal
+    sentences = [parse(s) for s in [
+        "0 = 0 -> bot", "0 = 0 -> 0 = 0", "forall x. ~ x = 3", "forall x. x = x",
+        "forall x. (x = 0 -> x = 0)", "~ ~ 0 = 0", "(0 = 0 -> 0 = 0) -> 0 = 0",
+        "forall x. exists y. y = x",
+    ]]
+    codes = list(range(16, 27)) + [identity_code(), halting_code(0), diverging_code(),
+                                   encode(app("K", "K")), encode(app("K", app("K", numt(0))))]
+    cfg = Budgets(fuel=300, witness=8, universe=4, candidates=8)
+    verdicts = set()
+    for f in [EMPTY_ORACLE, Oracle.from_dict("g", {0: 2})]:
+        T = OraclePoset((f,))
+        for e in codes:
+            for phi in sentences:
+                want = VERDICT_OF[kleene_verdict(e, phi, f, cfg)]
+                assert realizes(e, phi, f, cfg).verdict == want, (e, phi)
+                assert djg_realizes(e, phi, f, T, cfg).verdict == want, (e, phi)
+                verdicts.add(want)
+    assert verdicts == {REALIZED, REFUTED, EXHAUSTED}
 
 
 def test_djg_implication_quantifies_over_extensions():
