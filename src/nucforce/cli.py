@@ -28,12 +28,12 @@ from .hmodel import (
     search_countermodel,
 )
 from .realizability import (
+    ARITY,
     Budgets,
-    EXHAUSTED,
+    DEMO_BUDGETS,
     REALIZED,
     REFUTED,
     RealizabilityError,
-    apply as apply_code,
     djg_realizes,
     encode,
     load_oracle,
@@ -151,9 +151,6 @@ def cmd_search(args) -> int:
     return EXIT_FAIL
 
 
-_CODE_NAMES = ("S", "K", "PAIR", "FST", "SND", "SUCC", "CASE", "FIX", "ORA", "HALT")
-
-
 def parse_code(text: str) -> int:
     """A code given as a number or a parenthesised combinator term."""
     text = text.strip()
@@ -173,7 +170,7 @@ def parse_code(text: str) -> int:
                 raise CliError("unbalanced parentheses in code term")
             pos[0] += 1
             return t
-        if tok in _CODE_NAMES:
+        if tok in ARITY:
             return tok
         if tok.isdigit():
             return ("num", int(tok))
@@ -191,16 +188,11 @@ def parse_code(text: str) -> int:
     return encode(t)
 
 
-def _budgets(args) -> Budgets:
-    return Budgets(fuel=args.fuel, witness=args.witness,
-                   universe=args.universe, candidates=args.candidates)
-
-
 def cmd_realize(args) -> int:
     code = parse_code(args.code)
     phi = parse(args.formula)
     oracle = load_oracle(args.oracle)
-    cfg = _budgets(args)
+    cfg = Budgets(fuel=args.fuel, universe=args.universe, candidates=args.candidates)
     if args.frame:
         poset = load_oracle_poset(args.frame)
         out = djg_realizes(code, phi, oracle, poset, cfg)
@@ -221,7 +213,7 @@ def cmd_realize(args) -> int:
 def cmd_demo(args) -> int:
     if args.what != "separation":
         raise CliError(f"unknown demo {args.what!r}; available: separation")
-    cfg = Budgets(fuel=args.budget_fuel, witness=args.witness,
+    cfg = Budgets(fuel=args.budget_fuel, witness=DEMO_BUDGETS.witness,
                   universe=args.universe, candidates=args.candidate_bound)
     candidates = None
     if args.candidates:
@@ -273,17 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True, help="oracle JSON file")
     p.add_argument("--frame", default=None, help="oracle poset JSON file (extension semantics)")
     p.add_argument("--fuel", type=int, default=Budgets().fuel)
-    p.add_argument("--witness", type=int, default=Budgets().witness)
     p.add_argument("--universe", type=int, default=Budgets().universe)
     p.add_argument("--candidates", type=int, default=Budgets().candidates)
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("demo", help="run a packaged experiment")
     p.add_argument("what", nargs="?", default="separation")
-    p.add_argument("--budget-fuel", type=int, default=100000)
-    p.add_argument("--witness", type=int, default=64)
-    p.add_argument("--universe", type=int, default=64)
-    p.add_argument("--candidate-bound", type=int, default=256)
+    p.add_argument("--budget-fuel", type=int, default=DEMO_BUDGETS.fuel)
+    p.add_argument("--universe", type=int, default=DEMO_BUDGETS.universe)
+    p.add_argument("--candidate-bound", type=int, default=DEMO_BUDGETS.candidates)
     p.add_argument("--candidates", default=None, help="JSON file with a list of candidate codes")
     p.set_defaults(fn=cmd_demo)
 

@@ -172,10 +172,6 @@ def neg(phi: Formula) -> Formula:
     return Imp(phi, BOT)
 
 
-def top() -> Formula:
-    return Eq(Zero(), Zero())
-
-
 def num(n: int) -> Term:
     return Zero() if n == 0 else NumLit(n)
 
@@ -397,9 +393,6 @@ def parse(text: str) -> Formula:
 
 # -------------------------------------------------------------- printer
 
-_TERM_LEVEL = {"add": 0, "mul": 1, "prim": 2}
-
-
 def print_term(t: Term, level: int = 0) -> str:
     if isinstance(t, (Var, Zero, NumLit)):
         return repr(t)
@@ -529,19 +522,6 @@ def atoms_of(phi: Formula) -> set[tuple[str, int]]:
     if isinstance(phi, (Forall, Exists)):
         return atoms_of(phi.body)
     return set()
-
-
-def has_arithmetic(phi: Formula) -> bool:
-    """True if the formula uses Eq or the StepHalt relation."""
-    if isinstance(phi, Eq):
-        return True
-    if isinstance(phi, Atom):
-        return phi.rel == STEP_HALT
-    if isinstance(phi, (And, Or, Imp)):
-        return has_arithmetic(phi.left) or has_arithmetic(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return has_arithmetic(phi.body)
-    return False
 
 
 def has_abstract(phi: Formula) -> bool:

@@ -5,9 +5,11 @@ for each uninterpreted relation symbol.  Formulas evaluate to carrier
 elements; the modal language evaluates through nucleus tables, with
 guarded quantification realized as a meet over the frame members above
 the current nucleus.  `eval_m` is the plain recursive definition, one
-nucleus at a time.  `SceneEval` evaluates the output of each translation
-at every nucleus of a basis at once, one memoized vector per node, and
-is what the suites and the countermodel search read.  The suite registry
+nucleus at a time.  The modal language extends first-order logic, so
+`eval_m` with nothing bound is the plain semantics too (`eval_formula`).
+`SceneEval` evaluates the output of each translation at every nucleus of
+a basis at once, one memoized vector per node, and is what the suites
+and the countermodel search read.  The suite registry
 checks each property family over a generated corpus of models and
 reports failures with witnesses.
 
@@ -23,14 +25,13 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .algebra import FinPoset, HeytingAlg, check_poset_size, upset_algebra
 from .formula import (
     And,
     Atom,
     Bot,
-    BOT,
     Eq,
     Exists,
     Forall,
@@ -130,30 +131,9 @@ def env_set(env: Env, var: str, d: int) -> Env:
 
 
 def eval_formula(phi: Formula, m: HModel, env: Env = ()) -> int:
-    """Standard algebra-valued semantics with meets/joins for quantifiers."""
-    h = m.algebra
-    if isinstance(phi, Bot):
-        return h.bottom
-    if isinstance(phi, Eq) or (isinstance(phi, Atom) and phi.rel == STEP_HALT):
-        raise HModelError("arithmetic atoms are not supported by the lattice backend")
-    if isinstance(phi, Atom):
-        args = []
-        for t in phi.args:
-            if not isinstance(t, Var):
-                raise HModelError("lattice models only evaluate variable arguments")
-            args.append(env_get(env, t.name))
-        return m.atom(phi.rel, tuple(args))
-    if isinstance(phi, And):
-        return h.meet[eval_formula(phi.left, m, env)][eval_formula(phi.right, m, env)]
-    if isinstance(phi, Or):
-        return h.join[eval_formula(phi.left, m, env)][eval_formula(phi.right, m, env)]
-    if isinstance(phi, Imp):
-        return h.imp[eval_formula(phi.left, m, env)][eval_formula(phi.right, m, env)]
-    if isinstance(phi, Forall):
-        return h.meet_all(eval_formula(phi.body, m, env_set(env, phi.var, d)) for d in m.domain)
-    if isinstance(phi, Exists):
-        return h.join_all(eval_formula(phi.body, m, env_set(env, phi.var, d)) for d in m.domain)
-    raise HModelError(f"cannot evaluate node {phi!r}")
+    """Standard algebra-valued semantics with meets/joins for quantifiers:
+    `eval_m` with no nucleus or frame bound."""
+    return eval_m(phi, m, env, {}, {})
 
 
 def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind: dict[str, LopFrame]) -> int:
@@ -177,8 +157,15 @@ def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind:
         return acc
     if isinstance(mphi, Bot):
         return h.bottom
+    if isinstance(mphi, Eq) or (isinstance(mphi, Atom) and mphi.rel == STEP_HALT):
+        raise HModelError("arithmetic atoms are not supported by the lattice backend")
     if isinstance(mphi, Atom):
-        return eval_formula(mphi, m, env)
+        args = []
+        for t in mphi.args:
+            if not isinstance(t, Var):
+                raise HModelError("lattice models only evaluate variable arguments")
+            args.append(env_get(env, t.name))
+        return m.atom(mphi.rel, tuple(args))
     if isinstance(mphi, And):
         return h.meet[eval_m(mphi.left, m, env, nbind, fbind)][eval_m(mphi.right, m, env, nbind, fbind)]
     if isinstance(mphi, Or):
@@ -557,6 +544,8 @@ class Corpus:
 CORPUS_RELS = (("R", 1), ("Q", 1))
 
 MAX_FRAME_ENUM_NUCLEI = 6  # enumerate all small frames below this inventory size
+DOMAIN_BOUND = 3  # scene domains cycle through sizes 1..DOMAIN_BOUND
+FRAME_BOUND = 3  # frames hold 1..FRAME_BOUND nuclei
 
 
 def _sample_valuation(h: HeytingAlg, domain_size: int, rng: random.Random, two_valued: bool):
@@ -570,19 +559,17 @@ def _sample_valuation(h: HeytingAlg, domain_size: int, rng: random.Random, two_v
     return table
 
 
-def _frames_for(h: HeytingAlg, nuclei: tuple[Nucleus, ...], rng: random.Random, frame_bound: int, max_frames: int) -> list[LopFrame]:
+def _frames_for(h: HeytingAlg, nuclei: tuple[Nucleus, ...], rng: random.Random, max_frames: int) -> list[LopFrame]:
     idx = list(range(len(nuclei)))
     subsets = []
     if len(nuclei) <= MAX_FRAME_ENUM_NUCLEI:
-        for size in range(1, frame_bound + 1):
-            from itertools import combinations
-
+        for size in range(1, FRAME_BOUND + 1):
             subsets.extend(combinations(idx, size))
     else:
         ident = nuclei.index(identity_nucleus(h))
         picks = {(ident,)}
         while len(picks) < max_frames:
-            size = rng.randint(1, frame_bound)
+            size = rng.randint(1, FRAME_BOUND)
             picks.add(tuple(sorted(rng.sample(idx, size))))
         subsets = sorted(picks)
     frames = [LopFrame(h, tuple(nuclei[i] for i in s)) for s in subsets]
@@ -595,18 +582,11 @@ def _frames_for(h: HeytingAlg, nuclei: tuple[Nucleus, ...], rng: random.Random, 
     return frames
 
 
-def build_corpus(
-    point_bound: int = 4,
-    domain_bound: int = 3,
-    frame_bound: int = 3,
-    scenes_per_poset: int = 5,
-    max_frames: int = 6,
-    seed: int = 0,
-) -> Corpus:
+def build_corpus(point_bound: int = 4, scenes_per_poset: int = 5, max_frames: int = 6, seed: int = 0) -> Corpus:
     """Deterministic model corpus: every poset up to the point bound, a
-    cycle of domain sizes, sampled valuations (some two-valued), and a
-    bounded family of frames per algebra including the identity
-    singleton.
+    cycle of domain sizes up to `DOMAIN_BOUND`, sampled valuations (some
+    two-valued), and a bounded family of frames of up to `FRAME_BOUND`
+    nuclei per algebra including the identity singleton.
 
     Both generators are closed forms, so the corpus holds every poset
     class (`all_posets`) and, per algebra, all 2^|P| nuclei
@@ -618,9 +598,9 @@ def build_corpus(
         h = upset_algebra(p)
         nuclei = tuple(enumerate_nuclei(h))
         rng = random.Random(seed * 1000003 + pidx)
-        frames = _frames_for(h, nuclei, rng, frame_bound, max_frames)
+        frames = _frames_for(h, nuclei, rng, max_frames)
         for s in range(scenes_per_poset):
-            domain_size = 1 + (pidx + s) % domain_bound
+            domain_size = 1 + (pidx + s) % DOMAIN_BOUND
             two_valued = s % 2 == 1
             atom_val = _sample_valuation(h, domain_size, rng, two_valued)
             model = HModel(h, domain_size, atom_val, nuclei, name=f"poset{pidx}-scene{s}")
@@ -739,14 +719,6 @@ LITERAL_SHAPES = [_p(s) for s in [
     "forall x. forall y. (R(x) /\\ Q(y))",
 ]]
 
-QF_SHAPES = [_p(s) for s in [
-    "R(x)",
-    "~R(x)",
-    "R(x) -> Q(x)",
-    "R(x) \\/ Q(x)",
-    "R(x) /\\ ~Q(x)",
-]]
-
 SIGMA1_SHAPES = [_p(s) for s in [
     "exists x. R(x)",
     "exists x. (R(x) /\\ ~Q(x))",
@@ -802,8 +774,19 @@ IQC_RULES = [
 
 # --------------------------------------------------------- suite runner
 
+MAX_FAILURES = 20  # failures recorded per report; later ones are only counted as checks
+
+
 @dataclass
 class SuiteReport:
+    """The outcome of one suite, and the bookkeeping its checks share.
+
+    A check gets its scene and the raw witness fields (nuclei, frames,
+    formulas, environments).  Only a failure that is recorded, at most
+    `MAX_FAILURES` of them, is turned into a printable entry by `_wit`,
+    so a passing check costs a comparison and a count.
+    """
+
     suite: str
     checks: int = 0
     failures: list = field(default_factory=list)
@@ -822,35 +805,21 @@ class SuiteReport:
             "notes": self.notes,
         }
 
-
-class _Run:
-    """Bookkeeping shared by the suite implementations.
-
-    A check gets its scene and the raw witness fields (nuclei, frames,
-    formulas, environments).  Only a failure that is recorded, at most
-    `max_failures` of them, is turned into a printable entry by `_wit`,
-    so a passing check costs a comparison and a count.
-    """
-
-    def __init__(self, suite: str, max_failures: int = 20):
-        self.report = SuiteReport(suite)
-        self.max_failures = max_failures
-
     def check_le(self, h: HeytingAlg, lhs: int, rhs: int, scene: Scene, **witness):
-        self.report.checks += 1
+        self.checks += 1
         if not h.le(lhs, rhs):
             self._fail(lhs, rhs, "<=", scene, witness)
 
     def check_eq(self, h: HeytingAlg, lhs: int, rhs: int, scene: Scene, **witness):
-        self.report.checks += 1
+        self.checks += 1
         if lhs != rhs:
             self._fail(lhs, rhs, "==", scene, witness)
 
     def _fail(self, lhs, rhs, relation, scene, witness):
-        if len(self.report.failures) < self.max_failures:
+        if len(self.failures) < MAX_FAILURES:
             entry = {"lhs": lhs, "rhs": rhs, "relation": relation}
             entry.update(_wit(scene, **witness))
-            self.report.failures.append(entry)
+            self.failures.append(entry)
 
 
 def _wit(scene: Scene, **extra) -> dict:
@@ -881,7 +850,7 @@ def _dne(phi: Formula) -> Formula:
 # environment, so check counts and the recorded failures follow that order.
 
 def _suite_loplem(corpus: Corpus) -> SuiteReport:
-    run = _Run("loplem")
+    report = SuiteReport("loplem")
     for scene in corpus.scenes:
         m = scene.model
         h = m.algebra
@@ -890,16 +859,16 @@ def _suite_loplem(corpus: Corpus) -> SuiteReport:
         for j in m.nuclei[:SCENE_NUCLEI]:
             for p in h.carrier:
                 for q in h.carrier:
-                    run.check_eq(h, h.imp[p][j(q)], j(h.imp[p][j(q)]), scene, item=1, j=j, p=p, q=q)
-                    run.check_eq(h, j(h.join[p][q]), j(h.join[j(p)][j(q)]), scene, item=3, j=j, p=p, q=q)
+                    report.check_eq(h, h.imp[p][j(q)], j(h.imp[p][j(q)]), scene, item=1, j=j, p=p, q=q)
+                    report.check_eq(h, j(h.join[p][q]), j(h.join[j(p)][j(q)]), scene, item=3, j=j, p=p, q=q)
             for v in subsets:
-                run.check_le(h, j(h.meet_all(v)), h.meet_all(j(a) for a in v), scene, item=2, j=j, subset=v)
-                run.check_le(h, h.join_all(j(a) for a in v), j(h.join_all(v)), scene, item=4, j=j, subset=v)
-    return run.report
+                report.check_le(h, j(h.meet_all(v)), h.meet_all(j(a) for a in v), scene, item=2, j=j, subset=v)
+                report.check_le(h, h.join_all(j(a) for a in v), j(h.join_all(v)), scene, item=4, j=j, subset=v)
+    return report
 
 
 def _suite_maximal_collapse(corpus: Corpus) -> SuiteReport:
-    run = _Run("maximal-collapse")
+    report = SuiteReport("maximal-collapse")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
@@ -909,12 +878,12 @@ def _suite_maximal_collapse(corpus: Corpus) -> SuiteReport:
             for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
                 ante = h.meet_all(ev.eq_val(j, frame.members[x]) for x in up)
                 for phi, env, fc, gg in rows:
-                    run.check_le(h, ante, ev.biimp(fc[i], gg[i]), scene, frame=frame, j=j, formula=phi, env=env)
-    return run.report
+                    report.check_le(h, ante, ev.biimp(fc[i], gg[i]), scene, frame=frame, j=j, formula=phi, env=env)
+    return report
 
 
 def _suite_jclosed(corpus: Corpus) -> SuiteReport:
-    run = _Run("jclosed")
+    report = SuiteReport("jclosed")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h, basis = ev.h, ev.nuclei
@@ -923,12 +892,12 @@ def _suite_jclosed(corpus: Corpus) -> SuiteReport:
             for i, j in enumerate(basis.members):
                 for phi, env, vec in rows:
                     v = vec[i]
-                    run.check_eq(h, j(v), v, scene, frame=frame, j=j, formula=phi, env=env)
-    return run.report
+                    report.check_eq(h, j(v), v, scene, frame=frame, j=j, formula=phi, env=env)
+    return report
 
 
 def _suite_monotonicity(corpus: Corpus) -> SuiteReport:
-    run = _Run("monotonicity")
+    report = SuiteReport("monotonicity")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h, basis = ev.h, ev.nuclei
@@ -938,12 +907,12 @@ def _suite_monotonicity(corpus: Corpus) -> SuiteReport:
             for i, (j, up) in enumerate(zip(basis.members, ev.ups(frame, basis))):
                 for phi, env, vj, vk in rows:
                     for x in up:
-                        run.check_le(h, vj[i], vk[x], scene, frame=frame, j=j, k=frame.members[x], formula=phi, env=env)
-    return run.report
+                        report.check_le(h, vj[i], vk[x], scene, frame=frame, j=j, k=frame.members[x], formula=phi, env=env)
+    return report
 
 
 def _suite_jinp_monotonicity(corpus: Corpus) -> SuiteReport:
-    run = _Run("jinP-monotonicity")
+    report = SuiteReport("jinP-monotonicity")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
@@ -951,12 +920,12 @@ def _suite_jinp_monotonicity(corpus: Corpus) -> SuiteReport:
             rows = ev.rows("forcing", GENERAL_SHAPES, frame, frame)
             for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
                 for phi, env, vec in rows:
-                    run.check_eq(h, vec[i], h.meet_all(vec[x] for x in up), scene, frame=frame, j=j, formula=phi, env=env)
-    return run.report
+                    report.check_eq(h, vec[i], h.meet_all(vec[x] for x in up), scene, frame=frame, j=j, formula=phi, env=env)
+    return report
 
 
 def _suite_constant_domain(corpus: Corpus) -> SuiteReport:
-    run = _Run("constant-domain")
+    report = SuiteReport("constant-domain")
     shapes = [(phi, universal_closure(phi)) for phi in GENERAL_SHAPES if free_vars(phi)]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
@@ -966,12 +935,12 @@ def _suite_constant_domain(corpus: Corpus) -> SuiteReport:
                      ev.vector("forcing", closed, (), frame, frame)) for phi, closed in shapes]
             for i, j in enumerate(frame.members):
                 for phi, vecs, closed in rows:
-                    run.check_eq(h, h.meet_all(v[i] for v in vecs), closed[i], scene, frame=frame, j=j, formula=phi)
-    return run.report
+                    report.check_eq(h, h.meet_all(v[i] for v in vecs), closed[i], scene, frame=frame, j=j, formula=phi)
+    return report
 
 
 def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
-    run = _Run("iqc-soundness")
+    report = SuiteReport("iqc-soundness")
     # a rule's environments range over the free variables of all its
     # formulas, which are those of their conjunction
     rules = [(premises, conclusion, reduce(And, premises + [conclusion])) for premises, conclusion in IQC_RULES]
@@ -989,7 +958,7 @@ def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
             axioms = ev.rows("forcing", IQC_AXIOMS, basis, frame)
             for i, j in enumerate(basis.members):
                 for phi, env, vec in axioms:
-                    run.check_eq(h, vec[i], h.top, scene, frame=frame, j=j, formula=phi, env=env)
+                    report.check_eq(h, vec[i], h.top, scene, frame=frame, j=j, formula=phi, env=env)
             # rule closure needs both monotonicity directions, so the
             # lower nucleus must itself be a frame member
             rule_rows = [(conclusion, env, [ev.vector("forcing", f, env, frame, frame) for f in premises],
@@ -1000,16 +969,16 @@ def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
                                for premise, conclusion in quantifier_rules]
             for i, j in enumerate(frame.members):
                 for conclusion, env, premises, concl in rule_rows:
-                    run.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
-                                 scene, frame=frame, j=j, formula=conclusion, env=env)
+                    report.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
+                                    scene, frame=frame, j=j, formula=conclusion, env=env)
                 for conclusion, premises, concl in quantifier_rows:
-                    run.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
-                                 scene, frame=frame, j=j, formula=conclusion)
-    return run.report
+                    report.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
+                                    scene, frame=frame, j=j, formula=conclusion)
+    return report
 
 
 def _suite_literal_class(corpus: Corpus) -> SuiteReport:
-    run = _Run("literal-class")
+    report = SuiteReport("literal-class")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h, basis = ev.h, ev.nuclei
@@ -1021,12 +990,12 @@ def _suite_literal_class(corpus: Corpus) -> SuiteReport:
         for phi in LITERAL_SHAPES:
             for env in ev.envs(phi):
                 rhs = h.meet_all(v for frame in frames for v in ev.vector("forcing", phi, env, basis, frame))
-                run.check_eq(h, ev.plain(phi, env), rhs, scene, formula=phi, env=env)
-    return run.report
+                report.check_eq(h, ev.plain(phi, env), rhs, scene, formula=phi, env=env)
+    return report
 
 
 def _suite_forcingL_equiv(corpus: Corpus) -> SuiteReport:
-    run = _Run("forcingL-equiv")
+    report = SuiteReport("forcingL-equiv")
     kept = 0
     for scene in corpus.scenes:
         m = scene.model
@@ -1043,15 +1012,15 @@ def _suite_forcingL_equiv(corpus: Corpus) -> SuiteReport:
                     uenv = tuple(sorted(
                         (name, evl.unit(j, evl.singleton(d))) for name, d in env
                     ))
-                    run.check_eq(h, evl.value(phi, j, uenv), vec[i],
-                                 scene, frame=frame, j=j, formula=phi, env=env)
-    run.report.notes.append(
+                    report.check_eq(h, evl.value(phi, j, uenv), vec[i],
+                                    scene, frame=frame, j=j, formula=phi, env=env)
+    report.notes.append(
         f"restricted to algebras with <= 8 elements and domains <= 2 ({kept} scenes)")
-    return run.report
+    return report
 
 
 def _suite_kuroda_gg(corpus: Corpus) -> SuiteReport:
-    run = _Run("kuroda-gg")
+    report = SuiteReport("kuroda-gg")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h, basis = ev.h, ev.nuclei
@@ -1060,23 +1029,23 @@ def _suite_kuroda_gg(corpus: Corpus) -> SuiteReport:
                     for phi, env, kv in ev.rows("kuroda", GENERAL_SHAPES, basis, frame)]
             for i, j in enumerate(basis.members):
                 for phi, env, kv, fv in rows:
-                    run.check_eq(h, j(kv[i]), fv[i], scene, frame=frame, j=j, formula=phi, env=env)
-    return run.report
+                    report.check_eq(h, j(kv[i]), fv[i], scene, frame=frame, j=j, formula=phi, env=env)
+    return report
 
 
 def _suite_impfree_equiv(corpus: Corpus) -> SuiteReport:
-    run = _Run("impfree-equiv")
+    report = SuiteReport("impfree-equiv")
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
         h = ev.h
         for frame in scene.frames:
             for phi in IMPFREE_SHAPES:
-                run.check_eq(h, ev.equiv_val(phi, frame), h.top, scene, frame=frame, formula=phi)
-    return run.report
+                report.check_eq(h, ev.equiv_val(phi, frame), h.top, scene, frame=frame, formula=phi)
+    return report
 
 
 def _suite_emn(corpus: Corpus) -> SuiteReport:
-    run = _Run("emn")
+    report = SuiteReport("emn")
     shapes = []
     for phi in MIXED_SHAPES:
         np, nnp = neg(phi), neg(neg(phi))
@@ -1089,16 +1058,16 @@ def _suite_emn(corpus: Corpus) -> SuiteReport:
                 e, e_np, e_nnp = (ev.equiv_val(x, frame) for x in (phi, np, nnp))
                 m_np, m_nnp, m_dne = (ev.mono_val(x, frame) for x in (np, nnp, dne))
                 n_nnp = ev.nono_val(nnp, frame)
-                run.check_le(h, n_nnp, m_np, scene, item=1, frame=frame, formula=phi)
-                run.check_le(h, h.meet[e][m_np], e_np, scene, item=2, frame=frame, formula=phi)
-                run.check_le(h, h.meet_all([e, m_np, m_nnp]), e_nnp,
-                             scene, item=3, frame=frame, formula=phi)
-                run.check_le(h, h.meet[e][n_nnp], m_dne, scene, item=4, frame=frame, formula=phi)
-    return run.report
+                report.check_le(h, n_nnp, m_np, scene, item=1, frame=frame, formula=phi)
+                report.check_le(h, h.meet[e][m_np], e_np, scene, item=2, frame=frame, formula=phi)
+                report.check_le(h, h.meet_all([e, m_np, m_nnp]), e_nnp,
+                                scene, item=3, frame=frame, formula=phi)
+                report.check_le(h, h.meet[e][n_nnp], m_dne, scene, item=4, frame=frame, formula=phi)
+    return report
 
 
 def _suite_mndneg(corpus: Corpus) -> SuiteReport:
-    run = _Run("mndneg")
+    report = SuiteReport("mndneg")
     shapes = []
     for phi in MIXED_SHAPES:
         np, nnp = neg(phi), neg(neg(phi))
@@ -1109,12 +1078,12 @@ def _suite_mndneg(corpus: Corpus) -> SuiteReport:
         for frame in scene.frames:
             for phi, np, nnp, lem, dne in shapes:
                 e = ev.equiv_val(phi, frame)
-                run.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
-                             scene, item=1, frame=frame, formula=phi)
-                run.check_le(h, h.meet_all([e, ev.mono_val(nnp, frame), ev.nono_val(nnp, frame)]),
-                             ev.equiv_val(dne, frame),
-                             scene, item=2, frame=frame, formula=phi)
-    return run.report
+                report.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
+                                scene, item=1, frame=frame, formula=phi)
+                report.check_le(h, h.meet_all([e, ev.mono_val(nnp, frame), ev.nono_val(nnp, frame)]),
+                                ev.equiv_val(dne, frame),
+                                scene, item=2, frame=frame, formula=phi)
+    return report
 
 
 TRP_PAIRS = [
@@ -1126,7 +1095,7 @@ TRP_PAIRS = [
 
 
 def _suite_trp_closure(corpus: Corpus) -> SuiteReport:
-    run = _Run("trp-closure")
+    report = SuiteReport("trp-closure")
     atom = _p("R(x)")
     pairs = [(phi, psi, And(phi, psi), Or(phi, psi), Exists("x", phi), Imp(phi, psi), Forall("x", phi))
              for phi, psi in TRP_PAIRS]
@@ -1141,17 +1110,17 @@ def _suite_trp_closure(corpus: Corpus) -> SuiteReport:
         for i, j in enumerate(basis.members):
             for l, k in enumerate(basis.members):
                 le = ev.le_val(j, k)
-                run.check_le(h, le, t_atom[i][l], scene, item=1, j=j, k=k)
+                report.check_le(h, le, t_atom[i][l], scene, item=1, j=j, k=k)
                 for phi, t_phi, t_psi, t_conj, t_disj, t_ex, cl_psi, t_imp, cl_phi, t_univ in mats:
                     tp = t_phi[i][l]
                     both = h.meet[tp][t_psi[i][l]]
-                    run.check_le(h, both, t_conj[i][l], scene, item=2, j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[both][le], t_disj[i][l], scene, item=3, j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[both][le], t_ex[i][l], scene, item="3-exists", j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[both][cl_psi[i][l]], t_imp[i][l], scene, item=4, j=j, k=k, formula=phi)
-                    run.check_le(h, h.meet[tp][cl_phi[i][l]], t_univ[i][l],
-                                 scene, item="4-forall", j=j, k=k, formula=phi)
-    return run.report
+                    report.check_le(h, both, t_conj[i][l], scene, item=2, j=j, k=k, formula=phi)
+                    report.check_le(h, h.meet[both][le], t_disj[i][l], scene, item=3, j=j, k=k, formula=phi)
+                    report.check_le(h, h.meet[both][le], t_ex[i][l], scene, item="3-exists", j=j, k=k, formula=phi)
+                    report.check_le(h, h.meet[both][cl_psi[i][l]], t_imp[i][l], scene, item=4, j=j, k=k, formula=phi)
+                    report.check_le(h, h.meet[tp][cl_phi[i][l]], t_univ[i][l],
+                                    scene, item="4-forall", j=j, k=k, formula=phi)
+    return report
 
 
 def _dense_basis(ev: SceneEval) -> LopFrame:
@@ -1160,7 +1129,7 @@ def _dense_basis(ev: SceneEval) -> LopFrame:
 
 
 def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
-    run = _Run("dense-dne")
+    report = SuiteReport("dense-dne")
     dne_atom = _dne(_p("R(x)"))
     shapes = [(phi, _dne(phi)) for phi in MIXED_SHAPES]
     for scene in corpus.scenes:
@@ -1170,15 +1139,15 @@ def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
         plain, at_j = ev.plain(dne_atom, ()), ev.vector("gg", dne_atom, (), dense)
         rows = [(phi, ev.vector("gg", dne, (), dense), ev.cl_val(phi, dense)) for phi, dne in shapes]
         for i, j in enumerate(dense.members):
-            run.check_le(h, plain, at_j[i], scene, item=1, j=j)
+            report.check_le(h, plain, at_j[i], scene, item=1, j=j)
             for l, k in enumerate(dense.members):
                 for phi, dv, cl in rows:
-                    run.check_le(h, dv[i], cl[i][l], scene, item=2, j=j, k=k, formula=phi)
-    return run.report
+                    report.check_le(h, dv[i], cl[i][l], scene, item=2, j=j, k=k, formula=phi)
+    return report
 
 
 def _suite_trp_imp_mn(corpus: Corpus) -> SuiteReport:
-    run = _Run("trp-imp-mn")
+    report = SuiteReport("trp-imp-mn")
     shapes = [(phi, neg(neg(phi))) for phi in MIXED_SHAPES]
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
@@ -1190,12 +1159,12 @@ def _suite_trp_imp_mn(corpus: Corpus) -> SuiteReport:
                     for phi, nnp in shapes]
             for i, j in enumerate(basis.members):
                 for phi, trp, rhs in rows:
-                    run.check_le(h, h.meet_all(trp[i]), rhs, scene, frame=frame, j=j, formula=phi)
-    return run.report
+                    report.check_le(h, h.meet_all(trp[i]), rhs, scene, frame=frame, j=j, formula=phi)
+    return report
 
 
 def _suite_trp_ladder(corpus: Corpus) -> SuiteReport:
-    run = _Run("trp-ladder")
+    report = SuiteReport("trp-ladder")
     kept = 0
     for scene in corpus.scenes:
         if not scene.two_valued:
@@ -1209,13 +1178,13 @@ def _suite_trp_ladder(corpus: Corpus) -> SuiteReport:
             for l, k in enumerate(dense.members):
                 le = ev.le_val(j, k)
                 for phi, trp in mats:
-                    run.check_le(h, le, trp[i][l], scene, j=j, k=k, formula=phi)
-    run.report.notes.append(f"level-0 ladder on two-valued-atom models ({kept} scenes)")
-    return run.report
+                    report.check_le(h, le, trp[i][l], scene, j=j, k=k, formula=phi)
+    report.notes.append(f"level-0 ladder on two-valued-atom models ({kept} scenes)")
+    return report
 
 
 def _suite_sufcon(corpus: Corpus) -> SuiteReport:
-    run = _Run("sufcon")
+    report = SuiteReport("sufcon")
     kept = 0
     classes = [
         ("Sigma1", SIGMA1_SHAPES),
@@ -1236,12 +1205,12 @@ def _suite_sufcon(corpus: Corpus) -> SuiteReport:
             for j in frame.members:
                 ante = h.meet_all(ev.le_val(j, k) for k in frame.members)
                 for label, phi, dne, lem in instances:
-                    run.check_le(h, ante, ev.equiv_val(dne, frame),
-                                 scene, cls=label, ax="DNE", frame=frame, j=j, formula=phi)
-                    run.check_le(h, ante, ev.equiv_val(lem, frame),
-                                 scene, cls=label, ax="LEM", frame=frame, j=j, formula=phi)
-    run.report.notes.append(f"level-0 condition on dense frames and two-valued-atom models ({kept} scenes)")
-    return run.report
+                    report.check_le(h, ante, ev.equiv_val(dne, frame),
+                                    scene, cls=label, ax="DNE", frame=frame, j=j, formula=phi)
+                    report.check_le(h, ante, ev.equiv_val(lem, frame),
+                                    scene, cls=label, ax="LEM", frame=frame, j=j, formula=phi)
+    report.notes.append(f"level-0 condition on dense frames and two-valued-atom models ({kept} scenes)")
+    return report
 
 
 SUITES = {

@@ -89,9 +89,6 @@ class LopFrame:
     def __len__(self):
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
 
 def is_nucleus(h: HeytingAlg, t) -> tuple[bool, str | None]:
     """Check the three nucleus clauses pointwise; returns (ok, witness)."""

@@ -253,6 +253,8 @@ class OraclePoset:
     oracles: tuple[Oracle, ...]
     # member table -> the members extending it, built on the first `up`
     _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # budgets -> the `check_assumption_A` report, built on the first `preal_standard`
+    _agreement: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tables = [o.table for o in self.oracles]
@@ -447,6 +449,7 @@ class Budgets:
 
 
 DEFAULT_BUDGETS = Budgets()
+DEMO_BUDGETS = Budgets(fuel=100000, witness=64, universe=64, candidates=256)
 
 REALIZED = "realized"
 REFUTED = "refuted"
@@ -730,10 +733,12 @@ def preal_standard(e: int, phi: Formula, f: Oracle, S: OraclePoset,
                    cfg: Budgets = DEFAULT_BUDGETS) -> Outcome:
     """Standard-frame realizability at f, reduced to the extension clauses.
 
-    The extension/reducibility agreement is validated first; failure is
-    an error carrying the offending pair.
+    The extension/reducibility agreement is validated first, once per
+    poset and budgets; failure is an error carrying the offending pair.
     """
-    report = check_assumption_A(S, bound=cfg.witness, cfg=cfg)
+    report = S._agreement.get(cfg)
+    if report is None:
+        report = S._agreement[cfg] = check_assumption_A(S, bound=cfg.witness, cfg=cfg)
     if not report["passed"]:
         bad = report["flagged"] or [p for p in report["extension_pairs"] if not p["witnessed"]]
         raise RealizabilityError(f"extension/reducibility agreement fails: {bad[0]}")
@@ -908,7 +913,7 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
     limitation check that double negations of realized sentences stay
     realized over the singleton frame.
     """
-    cfg = cfg or Budgets(fuel=100000, witness=64, universe=64, candidates=256)
+    cfg = cfg or DEMO_BUDGETS
     if candidates is None:
         candidates = default_candidates()
     from .formula import PiOrPi, Sigma, parse, universal_instance

@@ -299,6 +299,16 @@ def test_demo_rejects_unknown_name(capsys):
     assert code == 2 and "unknown demo" in err
 
 
+@pytest.mark.parametrize("argv", [REALIZE + ["--oracle", "oracle.json", "--witness", "8"],
+                                  ["demo", "separation", "--witness", "8"]])
+def test_witness_flag_is_refused(capsys, argv):
+    # no command reads the scan bound, so neither takes a flag for it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--witness" in capsys.readouterr().err
+
+
 def test_out_flag_writes_report_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "--out", str(target), "nuclei", "--poset", "chain:1")

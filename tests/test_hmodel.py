@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from nucforce.algebra import FinPoset, three_chain, upset_algebra
-from nucforce.formula import parse
+from nucforce.formula import Eq, Mod, Var, Zero, parse
 from nucforce.nucleus import (
     LopFrame,
     double_negation,
@@ -63,8 +63,13 @@ def test_eval_formula_basics():
 
 def test_eval_formula_rejects_arithmetic_atoms():
     m = _two_valued_model()
-    with pytest.raises(HModelError):
+    with pytest.raises(HModelError, match="arithmetic atoms"):
         eval_formula(parse("x = 0"), m, (("x", 0),))
+    with pytest.raises(HModelError, match="arithmetic atoms"):
+        eval_formula(parse("StepHalt(x, x, x)"), m, (("x", 0),))
+    j = identity_nucleus(m.algebra)
+    with pytest.raises(HModelError, match="arithmetic atoms"):
+        eval_m(Mod("j", Eq(Var("x"), Zero())), m, (("x", 0),), {"j": j}, {})
 
 
 SHAPES = [

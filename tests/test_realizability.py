@@ -461,6 +461,35 @@ def test_preal_standard_reduces_to_extension_clauses():
     assert "reduction" in out.trace
 
 
+def test_preal_standard_checks_agreement_once_per_poset_and_budgets(monkeypatch):
+    from nucforce import realizability
+
+    calls = []
+
+    def counted(T, bound, cfg):
+        calls.append(cfg)
+        return check_assumption_A(T, bound=bound, cfg=cfg)
+
+    monkeypatch.setattr(realizability, "check_assumption_A", counted)
+    f0, f1, T = _chain_poset()
+    phi = parse("exists x. x = 1")
+    first = preal_standard(pair(1, 0), phi, f0, T)
+    second = preal_standard(pair(1, 0), phi, f1, T)
+    assert first.realized and second.realized
+    assert len(calls) == 1
+    preal_standard(pair(1, 0), phi, f0, T, Budgets(witness=8))
+    assert len(calls) == 2
+
+
+def test_preal_standard_raises_on_every_call_when_agreement_fails():
+    # a small code reproduces f1 = {0: 0} without extending it
+    T = OraclePoset((Oracle.from_dict("f0", {}), Oracle.from_dict("f1", {0: 0})))
+    assert not check_assumption_A(T, bound=DEFAULT_BUDGETS.witness)["passed"]
+    for _ in range(2):
+        with pytest.raises(RealizabilityError, match="agreement fails"):
+            preal_standard(pair(1, 0), parse("exists x. x = 1"), T.oracles[0], T)
+
+
 def test_m_f_member():
     f = Oracle.from_dict("f", {2: 5})
     # FST of the graph pair (2, 5) is 2
