@@ -45,6 +45,8 @@ class FinPoset:
         if not all(isinstance(e, str) for e in elems):
             raise AlgebraError("poset elements must be strings")
         known = set(elems)
+        if len(known) != len(elems):
+            raise AlgebraError("poset elements must be distinct")
         for cover in covers:
             if len(cover) != 2:
                 raise AlgebraError(f"cover {list(cover)!r} is not a pair of elements")
@@ -114,9 +116,11 @@ def load_poset(path: str) -> FinPoset:
         data = json.load(fh)
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise AlgebraError(f"{path}: poset file needs 'elements' and 'covers' keys")
-    elements = list(data["elements"])
+    elements, covers = data["elements"], data["covers"]
+    if not (isinstance(elements, list) and isinstance(covers, list) and all(isinstance(c, list) for c in covers)):
+        raise AlgebraError(f"{path}: 'elements' must be a list and 'covers' a list of pairs")
     check_poset_size(len(elements))
-    return FinPoset.from_covers(elements, [tuple(c) for c in data["covers"]])
+    return FinPoset.from_covers(elements, [tuple(c) for c in covers])
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from .formula import FormulaError, parse, print_formula
 from .nucleus import NucleusError, enumerate_nuclei, is_dense
 from .translate import TRANSLATIONS
 from .hmodel import (
+    FORMULA_SETS,
     HModelError,
     SEARCH_TARGETS,
-    SUITES,
     corpus_from_spec,
     run_suite,
     search_countermodel,
@@ -125,8 +125,6 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.suite not in SUITES:
-        raise CliError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}")
     corpus = corpus_from_spec(args.corpus, seed=args.seed)
     report = run_suite(args.suite, corpus)
     payload = report.to_dict()
@@ -138,8 +136,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.target not in SEARCH_TARGETS:
-        raise CliError(f"unknown target {args.target!r}; available: {', '.join(SEARCH_TARGETS)}")
     corpus = corpus_from_spec(args.corpus, seed=args.seed)
     result = search_countermodel(args.target, corpus, formula_set=args.formulas)
     result["seed"] = args.seed
@@ -218,7 +214,9 @@ def cmd_demo(args) -> int:
     candidates = None
     if args.candidates:
         with open(args.candidates) as fh:
-            candidates = [int(c) for c in json.load(fh)]
+            candidates = json.load(fh)
+        if not (isinstance(candidates, list) and all(type(c) is int for c in candidates)):
+            raise CliError(f"{args.candidates}: candidates must be a JSON list of integer codes")
     report = separation_demo(cfg, candidates)
     report["seed"] = args.seed
     _emit(report, args)
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="scan a corpus for a countermodel")
     p.add_argument("--target", required=True, help=f"one of: {', '.join(SEARCH_TARGETS)}")
-    p.add_argument("--formulas", choices=("implicational", "imp-free", "all"), default="all")
+    p.add_argument("--formulas", choices=tuple(FORMULA_SETS), default="all")
     p.add_argument("--corpus", default="builtin:default")
     p.set_defaults(fn=cmd_search)
 

@@ -9,9 +9,13 @@ nucleus at a time.  The modal language extends first-order logic, so
 `eval_m` with nothing bound is the plain semantics too (`eval_formula`).
 `SceneEval` evaluates the output of each translation at every nucleus of
 a basis at once, one memoized vector per node, and is what the suites
-and the countermodel search read.  The suite registry
-checks each property family over a generated corpus of models and
-reports failures with witnesses.
+and the countermodel search read.
+
+Each suite checks one property family.  `run_suite` is the one walk over
+a generated corpus of models: it keeps the scenes the suite's filter
+admits, builds one `SceneEval` per scene and hands it to the suite's
+per-scene checks, which record failures with witnesses in a
+`SuiteReport`.
 
 Quantifiers over truth values and over nuclei are instantiated at the
 carrier and at the enumerated nuclei respectively, so every suite
@@ -667,11 +671,7 @@ def corpus_from_spec(spec: str, seed: int = 0) -> Corpus:
 
 # ------------------------------------------------------- formula stock
 
-def _p(text: str) -> Formula:
-    return parse(text)
-
-
-GENERAL_SHAPES = [_p(s) for s in [
+GENERAL_SHAPES = [parse(s) for s in [
     "R(x)",
     "~R(x)",
     "R(x) \\/ Q(x)",
@@ -690,7 +690,7 @@ GENERAL_SHAPES = [_p(s) for s in [
     "bot -> R(x)",
 ]]
 
-SMALL_SHAPES = [_p(s) for s in [
+SMALL_SHAPES = [parse(s) for s in [
     "R(x)",
     "~R(x)",
     "R(x) \\/ Q(x)",
@@ -700,7 +700,7 @@ SMALL_SHAPES = [_p(s) for s in [
     "forall x. (R(x) -> Q(x))",
 ]]
 
-IMPFREE_SHAPES = [_p(s) for s in [
+IMPFREE_SHAPES = [parse(s) for s in [
     "R(x)",
     "R(x) \\/ Q(x)",
     "R(x) /\\ Q(x)",
@@ -710,7 +710,7 @@ IMPFREE_SHAPES = [_p(s) for s in [
     "exists x. (R(x) /\\ Q(y))",
 ]]
 
-LITERAL_SHAPES = [_p(s) for s in [
+LITERAL_SHAPES = [parse(s) for s in [
     "R(x)",
     "~R(x)",
     "R(x) /\\ ~Q(x)",
@@ -719,29 +719,29 @@ LITERAL_SHAPES = [_p(s) for s in [
     "forall x. forall y. (R(x) /\\ Q(y))",
 ]]
 
-SIGMA1_SHAPES = [_p(s) for s in [
+SIGMA1_SHAPES = [parse(s) for s in [
     "exists x. R(x)",
     "exists x. (R(x) /\\ ~Q(x))",
     "exists x. (R(x) -> Q(x))",
 ]]
 
-PI1_SHAPES = [_p(s) for s in [
+PI1_SHAPES = [parse(s) for s in [
     "forall x. R(x)",
     "forall x. ~R(x)",
     "forall x. (R(x) \\/ Q(x))",
     "forall x. (R(x) -> Q(x))",
 ]]
 
-SIGMA2_SHAPES = [_p(s) for s in [
+SIGMA2_SHAPES = [parse(s) for s in [
     "exists x. forall y. (R(x) \\/ Q(y))",
     "exists x. forall y. (R(x) -> Q(y))",
 ]]
 
 PIORPI1_SHAPES = [
-    Or(_p("forall x. ~R(x)"), _p("forall x. Q(x)")),
+    Or(parse("forall x. ~R(x)"), parse("forall x. Q(x)")),
 ]
 
-MIXED_SHAPES = [_p(s) for s in [
+MIXED_SHAPES = [parse(s) for s in [
     "R(x) -> Q(x)",
     "~R(x)",
     "~~R(x) -> R(x)",
@@ -750,7 +750,7 @@ MIXED_SHAPES = [_p(s) for s in [
     "(R(x) -> Q(x)) -> Q(x)",
 ]]
 
-IQC_AXIOMS = [_p(s) for s in [
+IQC_AXIOMS = [parse(s) for s in [
     "R(x) -> R(x) \\/ Q(x)",
     "R(x) /\\ Q(x) -> R(x)",
     "R(x) \\/ R(x) -> R(x)",
@@ -762,14 +762,54 @@ IQC_AXIOMS = [_p(s) for s in [
     "R(y) -> exists x. R(x)",
 ]]
 
-# (premises, conclusion) pairs for the connective rules
-IQC_RULES = [
-    ([_p("R(x)"), _p("R(x) -> Q(x)")], _p("Q(x)")),
-    ([_p("R(x) -> Q(x)"), _p("Q(x) -> R(y)")], _p("R(x) -> R(y)")),
-    ([_p("R(x) /\\ Q(x) -> Q(y)")], _p("R(x) -> (Q(x) -> Q(y))")),
-    ([_p("R(x) -> (Q(x) -> Q(y))")], _p("R(x) /\\ Q(x) -> Q(y)")),
-    ([_p("R(x) -> Q(x)")], _p("R(x) \\/ Q(y) -> Q(x) \\/ Q(y)")),
+
+def _dne(phi: Formula) -> Formula:
+    return universal_closure(Imp(neg(neg(phi)), phi))
+
+
+# (premises, conclusion, their conjunction) for the connective rules: a
+# rule's environments range over the free variables of all its formulas,
+# which are those of the conjunction
+IQC_RULES = [(premises, conclusion, reduce(And, premises + [conclusion])) for premises, conclusion in [
+    ([parse("R(x)"), parse("R(x) -> Q(x)")], parse("Q(x)")),
+    ([parse("R(x) -> Q(x)"), parse("Q(x) -> R(y)")], parse("R(x) -> R(y)")),
+    ([parse("R(x) /\\ Q(x) -> Q(y)")], parse("R(x) -> (Q(x) -> Q(y))")),
+    ([parse("R(x) -> (Q(x) -> Q(y))")], parse("R(x) /\\ Q(x) -> Q(y)")),
+    ([parse("R(x) -> Q(x)")], parse("R(x) \\/ Q(y) -> Q(x) \\/ Q(y)")),
+]]
+
+# the quantifier rules, with the side formula closed: (premise with y
+# free, met over the domain; conclusion binding y)
+IQC_QUANTIFIER_RULES = [
+    (parse("(exists z. R(z)) -> Q(y)"), parse("(exists z. R(z)) -> forall y. Q(y)")),
+    (parse("Q(y) -> exists z. R(z)"), parse("(exists y. Q(y)) -> exists z. R(z)")),
 ]
+
+CLOSED_SHAPES = [(phi, universal_closure(phi)) for phi in GENERAL_SHAPES if free_vars(phi)]
+
+# (phi, ~phi, ~~phi) for the mixed shapes, and what emn and mndneg add
+NEGATIONS = [(phi, neg(phi), neg(neg(phi))) for phi in MIXED_SHAPES]
+EMN_SHAPES = [(phi, np, nnp, Imp(nnp, phi)) for phi, np, nnp in NEGATIONS]
+MNDNEG_SHAPES = [(phi, np, nnp, universal_closure(Or(phi, np)), _dne(phi)) for phi, np, nnp in NEGATIONS]
+
+# (phi, psi, and the compounds whose transfer trp-closure bounds)
+TRP_ATOM = parse("R(x)")
+TRP_SHAPES = [(phi, psi, And(phi, psi), Or(phi, psi), Exists("x", phi), Imp(phi, psi), Forall("x", phi))
+              for phi, psi in [
+                  (parse("R(x)"), parse("Q(x)")),
+                  (parse("~R(x)"), parse("Q(x) \\/ R(x)")),
+                  (parse("R(x) -> Q(x)"), parse("R(x)")),
+                  (parse("exists x. R(x)"), parse("forall x. Q(x)")),
+              ]]
+
+DNE_ATOM = _dne(parse("R(x)"))
+DNE_SHAPES = [(phi, _dne(phi)) for phi in MIXED_SHAPES]
+
+# (class, phi, its DNE instance, its LEM instance) for sufcon
+SUFCON_INSTANCES = [(label, phi, _dne(phi), universal_closure(Or(phi, neg(phi))))
+                    for label, shapes in [("Sigma1", SIGMA1_SHAPES), ("Pi1", PI1_SHAPES[:2]),
+                                          ("PiOrPi1", PIORPI1_SHAPES), ("Sigma2", SIGMA2_SHAPES[:1])]
+                    for phi in shapes]
 
 
 # --------------------------------------------------------- suite runner
@@ -781,16 +821,21 @@ MAX_FAILURES = 20  # failures recorded per report; later ones are only counted a
 class SuiteReport:
     """The outcome of one suite, and the bookkeeping its checks share.
 
-    A check gets its scene and the raw witness fields (nuclei, frames,
-    formulas, environments).  Only a failure that is recorded, at most
-    `MAX_FAILURES` of them, is turned into a printable entry by `_wit`,
-    so a passing check costs a comparison and a count.
+    `run_suite` points the report at each scene in turn: `scene`, its
+    algebra `h`, and the corpus `seed`.  A check gets its two values and
+    the raw witness fields (nuclei, frames, formulas, environments).
+    Only a failure that is recorded, at most `MAX_FAILURES` of them, is
+    turned into a printable entry by `_wit`, so a passing check costs a
+    comparison and a count.
     """
 
     suite: str
     checks: int = 0
     failures: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    scene: Scene | None = field(default=None, init=False, repr=False)
+    h: HeytingAlg | None = field(default=None, init=False, repr=False)
+    seed: int = field(default=0, init=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -805,20 +850,20 @@ class SuiteReport:
             "notes": self.notes,
         }
 
-    def check_le(self, h: HeytingAlg, lhs: int, rhs: int, scene: Scene, **witness):
+    def check_le(self, lhs: int, rhs: int, **witness):
         self.checks += 1
-        if not h.le(lhs, rhs):
-            self._fail(lhs, rhs, "<=", scene, witness)
+        if not self.h.le(lhs, rhs):
+            self._fail(lhs, rhs, "<=", witness)
 
-    def check_eq(self, h: HeytingAlg, lhs: int, rhs: int, scene: Scene, **witness):
+    def check_eq(self, lhs: int, rhs: int, **witness):
         self.checks += 1
         if lhs != rhs:
-            self._fail(lhs, rhs, "==", scene, witness)
+            self._fail(lhs, rhs, "==", witness)
 
-    def _fail(self, lhs, rhs, relation, scene, witness):
+    def _fail(self, lhs, rhs, relation, witness):
         if len(self.failures) < MAX_FAILURES:
             entry = {"lhs": lhs, "rhs": rhs, "relation": relation}
-            entry.update(_wit(scene, **witness))
+            entry.update(_wit(self.scene, **witness))
             self.failures.append(entry)
 
 
@@ -838,289 +883,186 @@ def _wit(scene: Scene, **extra) -> dict:
     return out
 
 
-def _dne(phi: Formula) -> Formula:
-    return universal_closure(Imp(neg(neg(phi)), phi))
-
-
-# The suites build every derived formula (negations, closures, compounds
-# of a pair) once, before the scene loop: the evaluator's memo tables
-# then find each one by identity instead of comparing fresh trees.  Per
-# frame, each suite reads the vectors of its formulas over a basis once,
-# then walks them in the order of its checks: nucleus, then formula, then
+# Each suite is a function of one scene: `run_suite` owns the walk over
+# the corpus and hands it the report, a fresh `SceneEval` and the scene.
+# The formulas a suite derives from the shapes (negations, closures,
+# compounds of a pair) are built once, at import, so the evaluator's memo
+# tables find each one by identity instead of comparing fresh trees.  Per
+# frame, a suite reads the vectors of its formulas over a basis once, then
+# walks them in the order of its checks: nucleus, then formula, then
 # environment, so check counts and the recorded failures follow that order.
 
-def _suite_loplem(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("loplem")
-    for scene in corpus.scenes:
-        m = scene.model
-        h = m.algebra
-        rng = random.Random(f"{corpus.seed}:{m.name}:loplem")
-        subsets = [tuple(rng.choice(tuple(h.carrier)) for _ in m.domain) for _ in range(4)]
-        for j in m.nuclei[:SCENE_NUCLEI]:
-            for p in h.carrier:
-                for q in h.carrier:
-                    report.check_eq(h, h.imp[p][j(q)], j(h.imp[p][j(q)]), scene, item=1, j=j, p=p, q=q)
-                    report.check_eq(h, j(h.join[p][q]), j(h.join[j(p)][j(q)]), scene, item=3, j=j, p=p, q=q)
-            for v in subsets:
-                report.check_le(h, j(h.meet_all(v)), h.meet_all(j(a) for a in v), scene, item=2, j=j, subset=v)
-                report.check_le(h, h.join_all(j(a) for a in v), j(h.join_all(v)), scene, item=4, j=j, subset=v)
-    return report
+def _suite_loplem(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    m, h = ev.m, ev.h
+    rng = random.Random(f"{report.seed}:{m.name}:loplem")
+    subsets = [tuple(rng.choice(tuple(h.carrier)) for _ in m.domain) for _ in range(4)]
+    for j in m.nuclei[:SCENE_NUCLEI]:
+        for p in h.carrier:
+            for q in h.carrier:
+                report.check_eq(h.imp[p][j(q)], j(h.imp[p][j(q)]), item=1, j=j, p=p, q=q)
+                report.check_eq(j(h.join[p][q]), j(h.join[j(p)][j(q)]), item=3, j=j, p=p, q=q)
+        for v in subsets:
+            report.check_le(j(h.meet_all(v)), h.meet_all(j(a) for a in v), item=2, j=j, subset=v)
+            report.check_le(h.join_all(j(a) for a in v), j(h.join_all(v)), item=4, j=j, subset=v)
 
 
-def _suite_maximal_collapse(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("maximal-collapse")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        for frame in scene.frames:
-            rows = [(phi, env, fc, ev.vector("gg", phi, env, frame))
-                    for phi, env, fc in ev.rows("forcing", SMALL_SHAPES, frame, frame)]
-            for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
-                ante = h.meet_all(ev.eq_val(j, frame.members[x]) for x in up)
-                for phi, env, fc, gg in rows:
-                    report.check_le(h, ante, ev.biimp(fc[i], gg[i]), scene, frame=frame, j=j, formula=phi, env=env)
-    return report
+def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h = ev.h
+    for frame in scene.frames:
+        rows = [(phi, env, fc, ev.vector("gg", phi, env, frame))
+                for phi, env, fc in ev.rows("forcing", SMALL_SHAPES, frame, frame)]
+        for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
+            ante = h.meet_all(ev.eq_val(j, frame.members[x]) for x in up)
+            for phi, env, fc, gg in rows:
+                report.check_le(ante, ev.biimp(fc[i], gg[i]), frame=frame, j=j, formula=phi, env=env)
 
 
-def _suite_jclosed(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("jclosed")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        for frame in scene.frames:
-            rows = ev.rows("forcing", GENERAL_SHAPES, basis, frame)
-            for i, j in enumerate(basis.members):
-                for phi, env, vec in rows:
-                    v = vec[i]
-                    report.check_eq(h, j(v), v, scene, frame=frame, j=j, formula=phi, env=env)
-    return report
-
-
-def _suite_monotonicity(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("monotonicity")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        for frame in scene.frames:
-            rows = [(phi, env, vj, ev.vector("forcing", phi, env, frame, frame))
-                    for phi, env, vj in ev.rows("forcing", GENERAL_SHAPES, basis, frame)]
-            for i, (j, up) in enumerate(zip(basis.members, ev.ups(frame, basis))):
-                for phi, env, vj, vk in rows:
-                    for x in up:
-                        report.check_le(h, vj[i], vk[x], scene, frame=frame, j=j, k=frame.members[x], formula=phi, env=env)
-    return report
-
-
-def _suite_jinp_monotonicity(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("jinP-monotonicity")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        for frame in scene.frames:
-            rows = ev.rows("forcing", GENERAL_SHAPES, frame, frame)
-            for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
-                for phi, env, vec in rows:
-                    report.check_eq(h, vec[i], h.meet_all(vec[x] for x in up), scene, frame=frame, j=j, formula=phi, env=env)
-    return report
-
-
-def _suite_constant_domain(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("constant-domain")
-    shapes = [(phi, universal_closure(phi)) for phi in GENERAL_SHAPES if free_vars(phi)]
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        for frame in scene.frames:
-            rows = [(phi, [ev.vector("forcing", phi, env, frame, frame) for env in ev.envs(phi)],
-                     ev.vector("forcing", closed, (), frame, frame)) for phi, closed in shapes]
-            for i, j in enumerate(frame.members):
-                for phi, vecs, closed in rows:
-                    report.check_eq(h, h.meet_all(v[i] for v in vecs), closed[i], scene, frame=frame, j=j, formula=phi)
-    return report
-
-
-def _suite_iqc_soundness(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("iqc-soundness")
-    # a rule's environments range over the free variables of all its
-    # formulas, which are those of their conjunction
-    rules = [(premises, conclusion, reduce(And, premises + [conclusion])) for premises, conclusion in IQC_RULES]
-    # quantifier rules, with the side formula closed: (premise with y
-    # free, met over the domain; conclusion binding y)
-    psi, body = _p("exists z. R(z)"), _p("Q(y)")
-    quantifier_rules = [
-        (Imp(psi, body), Imp(psi, Forall("y", body))),
-        (Imp(body, psi), Imp(Exists("y", body), psi)),
-    ]
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        for frame in scene.frames:
-            axioms = ev.rows("forcing", IQC_AXIOMS, basis, frame)
-            for i, j in enumerate(basis.members):
-                for phi, env, vec in axioms:
-                    report.check_eq(h, vec[i], h.top, scene, frame=frame, j=j, formula=phi, env=env)
-            # rule closure needs both monotonicity directions, so the
-            # lower nucleus must itself be a frame member
-            rule_rows = [(conclusion, env, [ev.vector("forcing", f, env, frame, frame) for f in premises],
-                          ev.vector("forcing", conclusion, env, frame, frame))
-                         for premises, conclusion, whole in rules for env in ev.envs(whole)]
-            quantifier_rows = [(conclusion, [ev.vector("forcing", premise, env, frame, frame) for env in ev.envs(premise)],
-                                ev.vector("forcing", conclusion, (), frame, frame))
-                               for premise, conclusion in quantifier_rules]
-            for i, j in enumerate(frame.members):
-                for conclusion, env, premises, concl in rule_rows:
-                    report.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
-                                    scene, frame=frame, j=j, formula=conclusion, env=env)
-                for conclusion, premises, concl in quantifier_rows:
-                    report.check_le(h, h.meet_all(v[i] for v in premises), concl[i],
-                                    scene, frame=frame, j=j, formula=conclusion)
-    return report
-
-
-def _suite_literal_class(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("literal-class")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        ident = identity_nucleus(h)
-        id_frame = LopFrame(h, (ident,))
-        frames = list(scene.frames)
-        if all(f.members != (ident,) for f in frames):
-            frames.append(id_frame)
-        for phi in LITERAL_SHAPES:
-            for env in ev.envs(phi):
-                rhs = h.meet_all(v for frame in frames for v in ev.vector("forcing", phi, env, basis, frame))
-                report.check_eq(h, ev.plain(phi, env), rhs, scene, formula=phi, env=env)
-    return report
-
-
-def _suite_forcingL_equiv(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("forcingL-equiv")
-    kept = 0
-    for scene in corpus.scenes:
-        m = scene.model
-        if m.algebra.size > 8 or m.domain_size > 2:
-            continue
-        kept += 1
-        ev = SceneEval(m)
-        h = ev.h
-        for frame in scene.frames[:3]:
-            evl = ForcingLEval(m, frame)
-            rows = ev.rows("forcing", SMALL_SHAPES, frame, frame)
-            for i, j in enumerate(frame.members):
-                for phi, env, vec in rows:
-                    uenv = tuple(sorted(
-                        (name, evl.unit(j, evl.singleton(d))) for name, d in env
-                    ))
-                    report.check_eq(h, evl.value(phi, j, uenv), vec[i],
-                                    scene, frame=frame, j=j, formula=phi, env=env)
-    report.notes.append(
-        f"restricted to algebras with <= 8 elements and domains <= 2 ({kept} scenes)")
-    return report
-
-
-def _suite_kuroda_gg(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("kuroda-gg")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        for frame in scene.frames:
-            rows = [(phi, env, kv, ev.vector("forcing", phi, env, basis, frame))
-                    for phi, env, kv in ev.rows("kuroda", GENERAL_SHAPES, basis, frame)]
-            for i, j in enumerate(basis.members):
-                for phi, env, kv, fv in rows:
-                    report.check_eq(h, j(kv[i]), fv[i], scene, frame=frame, j=j, formula=phi, env=env)
-    return report
-
-
-def _suite_impfree_equiv(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("impfree-equiv")
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        for frame in scene.frames:
-            for phi in IMPFREE_SHAPES:
-                report.check_eq(h, ev.equiv_val(phi, frame), h.top, scene, frame=frame, formula=phi)
-    return report
-
-
-def _suite_emn(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("emn")
-    shapes = []
-    for phi in MIXED_SHAPES:
-        np, nnp = neg(phi), neg(neg(phi))
-        shapes.append((phi, np, nnp, Imp(nnp, phi)))
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        for frame in scene.frames:
-            for phi, np, nnp, dne in shapes:
-                e, e_np, e_nnp = (ev.equiv_val(x, frame) for x in (phi, np, nnp))
-                m_np, m_nnp, m_dne = (ev.mono_val(x, frame) for x in (np, nnp, dne))
-                n_nnp = ev.nono_val(nnp, frame)
-                report.check_le(h, n_nnp, m_np, scene, item=1, frame=frame, formula=phi)
-                report.check_le(h, h.meet[e][m_np], e_np, scene, item=2, frame=frame, formula=phi)
-                report.check_le(h, h.meet_all([e, m_np, m_nnp]), e_nnp,
-                                scene, item=3, frame=frame, formula=phi)
-                report.check_le(h, h.meet[e][n_nnp], m_dne, scene, item=4, frame=frame, formula=phi)
-    return report
-
-
-def _suite_mndneg(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("mndneg")
-    shapes = []
-    for phi in MIXED_SHAPES:
-        np, nnp = neg(phi), neg(neg(phi))
-        shapes.append((phi, np, nnp, universal_closure(Or(phi, np)), _dne(phi)))
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        for frame in scene.frames:
-            for phi, np, nnp, lem, dne in shapes:
-                e = ev.equiv_val(phi, frame)
-                report.check_le(h, h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
-                                scene, item=1, frame=frame, formula=phi)
-                report.check_le(h, h.meet_all([e, ev.mono_val(nnp, frame), ev.nono_val(nnp, frame)]),
-                                ev.equiv_val(dne, frame),
-                                scene, item=2, frame=frame, formula=phi)
-    return report
-
-
-TRP_PAIRS = [
-    (_p("R(x)"), _p("Q(x)")),
-    (_p("~R(x)"), _p("Q(x) \\/ R(x)")),
-    (_p("R(x) -> Q(x)"), _p("R(x)")),
-    (_p("exists x. R(x)"), _p("forall x. Q(x)")),
-]
-
-
-def _suite_trp_closure(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("trp-closure")
-    atom = _p("R(x)")
-    pairs = [(phi, psi, And(phi, psi), Or(phi, psi), Exists("x", phi), Imp(phi, psi), Forall("x", phi))
-             for phi, psi in TRP_PAIRS]
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        t_atom = ev.trp_val(atom, basis)
-        mats = [(phi, ev.trp_val(phi, basis), ev.trp_val(psi, basis), ev.trp_val(conj, basis),
-                 ev.trp_val(disj, basis), ev.trp_val(ex, basis), ev.cl_val(psi, basis),
-                 ev.trp_val(imp, basis), ev.cl_val(phi, basis), ev.trp_val(univ, basis))
-                for phi, psi, conj, disj, ex, imp, univ in pairs]
+def _suite_jclosed(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    basis = ev.nuclei
+    for frame in scene.frames:
+        rows = ev.rows("forcing", GENERAL_SHAPES, basis, frame)
         for i, j in enumerate(basis.members):
-            for l, k in enumerate(basis.members):
-                le = ev.le_val(j, k)
-                report.check_le(h, le, t_atom[i][l], scene, item=1, j=j, k=k)
-                for phi, t_phi, t_psi, t_conj, t_disj, t_ex, cl_psi, t_imp, cl_phi, t_univ in mats:
-                    tp = t_phi[i][l]
-                    both = h.meet[tp][t_psi[i][l]]
-                    report.check_le(h, both, t_conj[i][l], scene, item=2, j=j, k=k, formula=phi)
-                    report.check_le(h, h.meet[both][le], t_disj[i][l], scene, item=3, j=j, k=k, formula=phi)
-                    report.check_le(h, h.meet[both][le], t_ex[i][l], scene, item="3-exists", j=j, k=k, formula=phi)
-                    report.check_le(h, h.meet[both][cl_psi[i][l]], t_imp[i][l], scene, item=4, j=j, k=k, formula=phi)
-                    report.check_le(h, h.meet[tp][cl_phi[i][l]], t_univ[i][l],
-                                    scene, item="4-forall", j=j, k=k, formula=phi)
-    return report
+            for phi, env, vec in rows:
+                v = vec[i]
+                report.check_eq(j(v), v, frame=frame, j=j, formula=phi, env=env)
+
+
+def _suite_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    basis = ev.nuclei
+    for frame in scene.frames:
+        rows = [(phi, env, vj, ev.vector("forcing", phi, env, frame, frame))
+                for phi, env, vj in ev.rows("forcing", GENERAL_SHAPES, basis, frame)]
+        for i, (j, up) in enumerate(zip(basis.members, ev.ups(frame, basis))):
+            for phi, env, vj, vk in rows:
+                for x in up:
+                    report.check_le(vj[i], vk[x], frame=frame, j=j, k=frame.members[x], formula=phi, env=env)
+
+
+def _suite_jinp_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h = ev.h
+    for frame in scene.frames:
+        rows = ev.rows("forcing", GENERAL_SHAPES, frame, frame)
+        for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
+            for phi, env, vec in rows:
+                report.check_eq(vec[i], h.meet_all(vec[x] for x in up), frame=frame, j=j, formula=phi, env=env)
+
+
+def _suite_constant_domain(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h = ev.h
+    for frame in scene.frames:
+        rows = [(phi, [ev.vector("forcing", phi, env, frame, frame) for env in ev.envs(phi)],
+                 ev.vector("forcing", closed, (), frame, frame)) for phi, closed in CLOSED_SHAPES]
+        for i, j in enumerate(frame.members):
+            for phi, vecs, closed in rows:
+                report.check_eq(h.meet_all(v[i] for v in vecs), closed[i], frame=frame, j=j, formula=phi)
+
+
+def _suite_iqc_soundness(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h, basis = ev.h, ev.nuclei
+    for frame in scene.frames:
+        axioms = ev.rows("forcing", IQC_AXIOMS, basis, frame)
+        for i, j in enumerate(basis.members):
+            for phi, env, vec in axioms:
+                report.check_eq(vec[i], h.top, frame=frame, j=j, formula=phi, env=env)
+        # rule closure needs both monotonicity directions, so the
+        # lower nucleus must itself be a frame member
+        rule_rows = [(conclusion, env, [ev.vector("forcing", f, env, frame, frame) for f in premises],
+                      ev.vector("forcing", conclusion, env, frame, frame))
+                     for premises, conclusion, whole in IQC_RULES for env in ev.envs(whole)]
+        quantifier_rows = [(conclusion, [ev.vector("forcing", premise, env, frame, frame) for env in ev.envs(premise)],
+                            ev.vector("forcing", conclusion, (), frame, frame))
+                           for premise, conclusion in IQC_QUANTIFIER_RULES]
+        for i, j in enumerate(frame.members):
+            for conclusion, env, premises, concl in rule_rows:
+                report.check_le(h.meet_all(v[i] for v in premises), concl[i],
+                                frame=frame, j=j, formula=conclusion, env=env)
+            for conclusion, premises, concl in quantifier_rows:
+                report.check_le(h.meet_all(v[i] for v in premises), concl[i], frame=frame, j=j, formula=conclusion)
+
+
+def _suite_literal_class(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h, basis = ev.h, ev.nuclei
+    ident = identity_nucleus(h)
+    frames = list(scene.frames)
+    if all(f.members != (ident,) for f in frames):
+        frames.append(LopFrame(h, (ident,)))
+    for phi in LITERAL_SHAPES:
+        for env in ev.envs(phi):
+            rhs = h.meet_all(v for frame in frames for v in ev.vector("forcing", phi, env, basis, frame))
+            report.check_eq(ev.plain(phi, env), rhs, formula=phi, env=env)
+
+
+def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    for frame in scene.frames[:3]:
+        evl = ForcingLEval(ev.m, frame)
+        rows = ev.rows("forcing", SMALL_SHAPES, frame, frame)
+        for i, j in enumerate(frame.members):
+            for phi, env, vec in rows:
+                uenv = tuple(sorted(
+                    (name, evl.unit(j, evl.singleton(d))) for name, d in env
+                ))
+                report.check_eq(evl.value(phi, j, uenv), vec[i], frame=frame, j=j, formula=phi, env=env)
+
+
+def _suite_kuroda_gg(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    basis = ev.nuclei
+    for frame in scene.frames:
+        rows = [(phi, env, kv, ev.vector("forcing", phi, env, basis, frame))
+                for phi, env, kv in ev.rows("kuroda", GENERAL_SHAPES, basis, frame)]
+        for i, j in enumerate(basis.members):
+            for phi, env, kv, fv in rows:
+                report.check_eq(j(kv[i]), fv[i], frame=frame, j=j, formula=phi, env=env)
+
+
+def _suite_impfree_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    for frame in scene.frames:
+        for phi in IMPFREE_SHAPES:
+            report.check_eq(ev.equiv_val(phi, frame), ev.h.top, frame=frame, formula=phi)
+
+
+def _suite_emn(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h = ev.h
+    for frame in scene.frames:
+        for phi, np, nnp, dne in EMN_SHAPES:
+            e, e_np, e_nnp = (ev.equiv_val(x, frame) for x in (phi, np, nnp))
+            m_np, m_nnp, m_dne = (ev.mono_val(x, frame) for x in (np, nnp, dne))
+            n_nnp = ev.nono_val(nnp, frame)
+            report.check_le(n_nnp, m_np, item=1, frame=frame, formula=phi)
+            report.check_le(h.meet[e][m_np], e_np, item=2, frame=frame, formula=phi)
+            report.check_le(h.meet_all([e, m_np, m_nnp]), e_nnp, item=3, frame=frame, formula=phi)
+            report.check_le(h.meet[e][n_nnp], m_dne, item=4, frame=frame, formula=phi)
+
+
+def _suite_mndneg(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h = ev.h
+    for frame in scene.frames:
+        for phi, np, nnp, lem, dne in MNDNEG_SHAPES:
+            e = ev.equiv_val(phi, frame)
+            report.check_le(h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
+                            item=1, frame=frame, formula=phi)
+            report.check_le(h.meet_all([e, ev.mono_val(nnp, frame), ev.nono_val(nnp, frame)]),
+                            ev.equiv_val(dne, frame), item=2, frame=frame, formula=phi)
+
+
+def _suite_trp_closure(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h, basis = ev.h, ev.nuclei
+    t_atom = ev.trp_val(TRP_ATOM, basis)
+    mats = [(phi, ev.trp_val(phi, basis), ev.trp_val(psi, basis), ev.trp_val(conj, basis),
+             ev.trp_val(disj, basis), ev.trp_val(ex, basis), ev.cl_val(psi, basis),
+             ev.trp_val(imp, basis), ev.cl_val(phi, basis), ev.trp_val(univ, basis))
+            for phi, psi, conj, disj, ex, imp, univ in TRP_SHAPES]
+    for i, j in enumerate(basis.members):
+        for l, k in enumerate(basis.members):
+            le = ev.le_val(j, k)
+            report.check_le(le, t_atom[i][l], item=1, j=j, k=k)
+            for phi, t_phi, t_psi, t_conj, t_disj, t_ex, cl_psi, t_imp, cl_phi, t_univ in mats:
+                tp = t_phi[i][l]
+                both = h.meet[tp][t_psi[i][l]]
+                report.check_le(both, t_conj[i][l], item=2, j=j, k=k, formula=phi)
+                report.check_le(h.meet[both][le], t_disj[i][l], item=3, j=j, k=k, formula=phi)
+                report.check_le(h.meet[both][le], t_ex[i][l], item="3-exists", j=j, k=k, formula=phi)
+                report.check_le(h.meet[both][cl_psi[i][l]], t_imp[i][l], item=4, j=j, k=k, formula=phi)
+                report.check_le(h.meet[tp][cl_phi[i][l]], t_univ[i][l], item="4-forall", j=j, k=k, formula=phi)
 
 
 def _dense_basis(ev: SceneEval) -> LopFrame:
@@ -1128,89 +1070,50 @@ def _dense_basis(ev: SceneEval) -> LopFrame:
     return LopFrame(ev.h, tuple(j for j in ev.nuclei.members if is_dense(j)))
 
 
-def _suite_dense_dne(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("dense-dne")
-    dne_atom = _dne(_p("R(x)"))
-    shapes = [(phi, _dne(phi)) for phi in MIXED_SHAPES]
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h = ev.h
-        dense = _dense_basis(ev)
-        plain, at_j = ev.plain(dne_atom, ()), ev.vector("gg", dne_atom, (), dense)
-        rows = [(phi, ev.vector("gg", dne, (), dense), ev.cl_val(phi, dense)) for phi, dne in shapes]
-        for i, j in enumerate(dense.members):
-            report.check_le(h, plain, at_j[i], scene, item=1, j=j)
-            for l, k in enumerate(dense.members):
-                for phi, dv, cl in rows:
-                    report.check_le(h, dv[i], cl[i][l], scene, item=2, j=j, k=k, formula=phi)
-    return report
+def _suite_dense_dne(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    dense = _dense_basis(ev)
+    plain, at_j = ev.plain(DNE_ATOM, ()), ev.vector("gg", DNE_ATOM, (), dense)
+    rows = [(phi, ev.vector("gg", dne, (), dense), ev.cl_val(phi, dense)) for phi, dne in DNE_SHAPES]
+    for i, j in enumerate(dense.members):
+        report.check_le(plain, at_j[i], item=1, j=j)
+        for l, k in enumerate(dense.members):
+            for phi, dv, cl in rows:
+                report.check_le(dv[i], cl[i][l], item=2, j=j, k=k, formula=phi)
 
 
-def _suite_trp_imp_mn(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("trp-imp-mn")
-    shapes = [(phi, neg(neg(phi))) for phi in MIXED_SHAPES]
-    for scene in corpus.scenes:
-        ev = SceneEval(scene.model)
-        h, basis = ev.h, ev.nuclei
-        dense_frames = [f for f in scene.frames if all(is_dense(k) for k in f.members)]
-        for frame in dense_frames:
-            # row i of the matrix: j = basis entry i, k over the frame
-            rows = [(phi, ev.trp_val(phi, basis, frame), h.meet[ev.mono_val(nnp, frame)][ev.nono_val(nnp, frame)])
-                    for phi, nnp in shapes]
-            for i, j in enumerate(basis.members):
-                for phi, trp, rhs in rows:
-                    report.check_le(h, h.meet_all(trp[i]), rhs, scene, frame=frame, j=j, formula=phi)
-    return report
-
-
-def _suite_trp_ladder(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("trp-ladder")
-    kept = 0
-    for scene in corpus.scenes:
-        if not scene.two_valued:
+def _suite_trp_imp_mn(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h, basis = ev.h, ev.nuclei
+    for frame in scene.frames:
+        if not all(is_dense(k) for k in frame.members):
             continue
-        kept += 1
-        ev = SceneEval(scene.model)
-        h = ev.h
-        dense = _dense_basis(ev)
-        mats = [(phi, ev.trp_val(phi, dense)) for phi in PI1_SHAPES + SIGMA1_SHAPES]
-        for i, j in enumerate(dense.members):
-            for l, k in enumerate(dense.members):
-                le = ev.le_val(j, k)
-                for phi, trp in mats:
-                    report.check_le(h, le, trp[i][l], scene, j=j, k=k, formula=phi)
-    report.notes.append(f"level-0 ladder on two-valued-atom models ({kept} scenes)")
-    return report
+        # row i of the matrix: j = basis entry i, k over the frame
+        rows = [(phi, ev.trp_val(phi, basis, frame), h.meet[ev.mono_val(nnp, frame)][ev.nono_val(nnp, frame)])
+                for phi, _, nnp in NEGATIONS]
+        for i, j in enumerate(basis.members):
+            for phi, trp, rhs in rows:
+                report.check_le(h.meet_all(trp[i]), rhs, frame=frame, j=j, formula=phi)
 
 
-def _suite_sufcon(corpus: Corpus) -> SuiteReport:
-    report = SuiteReport("sufcon")
-    kept = 0
-    classes = [
-        ("Sigma1", SIGMA1_SHAPES),
-        ("Pi1", PI1_SHAPES[:2]),
-        ("PiOrPi1", PIORPI1_SHAPES),
-        ("Sigma2", SIGMA2_SHAPES[:1]),
-    ]
-    instances = [(label, phi, _dne(phi), universal_closure(Or(phi, neg(phi))))
-                 for label, shapes in classes for phi in shapes]
-    for scene in corpus.scenes:
-        if not scene.two_valued:
+def _suite_trp_ladder(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    dense = _dense_basis(ev)
+    mats = [(phi, ev.trp_val(phi, dense)) for phi in PI1_SHAPES + SIGMA1_SHAPES]
+    for i, j in enumerate(dense.members):
+        for l, k in enumerate(dense.members):
+            le = ev.le_val(j, k)
+            for phi, trp in mats:
+                report.check_le(le, trp[i][l], j=j, k=k, formula=phi)
+
+
+def _suite_sufcon(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+    h = ev.h
+    for frame in scene.frames:
+        if not all(is_dense(k) for k in frame.members):
             continue
-        kept += 1
-        ev = SceneEval(scene.model)
-        h = ev.h
-        dense_frames = [f for f in scene.frames if all(is_dense(k) for k in f.members)]
-        for frame in dense_frames:
-            for j in frame.members:
-                ante = h.meet_all(ev.le_val(j, k) for k in frame.members)
-                for label, phi, dne, lem in instances:
-                    report.check_le(h, ante, ev.equiv_val(dne, frame),
-                                    scene, cls=label, ax="DNE", frame=frame, j=j, formula=phi)
-                    report.check_le(h, ante, ev.equiv_val(lem, frame),
-                                    scene, cls=label, ax="LEM", frame=frame, j=j, formula=phi)
-    report.notes.append(f"level-0 condition on dense frames and two-valued-atom models ({kept} scenes)")
-    return report
+        for j in frame.members:
+            ante = h.meet_all(ev.le_val(j, k) for k in frame.members)
+            for label, phi, dne, lem in SUFCON_INSTANCES:
+                report.check_le(ante, ev.equiv_val(dne, frame), cls=label, ax="DNE", frame=frame, j=j, formula=phi)
+                report.check_le(ante, ev.equiv_val(lem, frame), cls=label, ax="LEM", frame=frame, j=j, formula=phi)
 
 
 SUITES = {
@@ -1234,47 +1137,72 @@ SUITES = {
     "sufcon": _suite_sufcon,
 }
 
+# The suites that check only some scenes: which scenes they keep, and the
+# note that says so, with the count of kept scenes.
+SCENE_FILTERS = {
+    "forcingL-equiv": (lambda scene: scene.model.algebra.size <= 8 and scene.model.domain_size <= 2,
+                       "restricted to algebras with <= 8 elements and domains <= 2"),
+    "trp-ladder": (lambda scene: scene.two_valued, "level-0 ladder on two-valued-atom models"),
+    "sufcon": (lambda scene: scene.two_valued, "level-0 condition on dense frames and two-valued-atom models"),
+}
+
 
 def run_suite(suite: str, corpus: Corpus) -> SuiteReport:
-    fn = SUITES.get(suite)
-    if fn is None:
-        raise HModelError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    return fn(corpus)
+    """Run the named suite over every scene of the corpus that its scene
+    filter keeps, with one `SceneEval` per scene."""
+    check = SUITES.get(suite)
+    if check is None:
+        raise HModelError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
+    keep, note = SCENE_FILTERS.get(suite, (None, None))
+    report = SuiteReport(suite)
+    report.seed = corpus.seed
+    kept = 0
+    for scene in corpus.scenes:
+        if keep is None or keep(scene):
+            kept += 1
+            report.scene, report.h = scene, scene.model.algebra
+            check(report, SceneEval(scene.model), scene)
+    if note is not None:
+        report.notes.append(f"{note} ({kept} scenes)")
+    return report
 
 
 # -------------------------------------------------- countermodel search
 
-SEARCH_TARGETS = ("equiv", "trp", "mono", "nono")
+# the value in the algebra that each target's search scans for, in the
+# order the targets are listed
+SEARCH_TARGETS = {
+    "equiv": SceneEval.equiv_val,
+    "trp": lambda ev, phi, frame: ev.h.meet_all(x for row in ev.trp_val(phi, frame) for x in row),
+    "mono": SceneEval.mono_val,
+    "nono": SceneEval.nono_val,
+}
+
+FORMULA_SETS = {
+    "implicational": MIXED_SHAPES,
+    "imp-free": IMPFREE_SHAPES,
+    "all": GENERAL_SHAPES,
+}
 
 
 def search_countermodel(target: str, corpus: Corpus, formula_set: str = "implicational") -> dict:
     """First witness, in canonical corpus order, where the named
     predicate is not top; or an exhaustion report."""
-    if target not in SEARCH_TARGETS:
-        raise HModelError(f"unknown search target {target!r}; known: {', '.join(SEARCH_TARGETS)}")
-    shapes = {
-        "implicational": MIXED_SHAPES,
-        "imp-free": IMPFREE_SHAPES,
-        "all": GENERAL_SHAPES,
-    }.get(formula_set)
+    value = SEARCH_TARGETS.get(target)
+    if value is None:
+        raise HModelError(f"unknown target {target!r}; available: {', '.join(SEARCH_TARGETS)}")
+    shapes = FORMULA_SETS.get(formula_set)
     if shapes is None:
         raise HModelError(f"unknown formula set {formula_set!r}")
     scanned = 0
     for scene in corpus.scenes:
         ev = SceneEval(scene.model)
-        h = ev.h
+        top = ev.h.top
         for frame in scene.frames:
             for phi in shapes:
                 scanned += 1
-                if target == "equiv":
-                    v = ev.equiv_val(phi, frame)
-                elif target == "mono":
-                    v = ev.mono_val(phi, frame)
-                elif target == "nono":
-                    v = ev.nono_val(phi, frame)
-                else:
-                    v = h.meet_all(x for row in ev.trp_val(phi, frame) for x in row)
-                if v != h.top:
+                v = value(ev, phi, frame)
+                if v != top:
                     return {
                         "found": True,
                         "target": target,

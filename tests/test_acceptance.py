@@ -104,33 +104,50 @@ def test_criterion_1_nucleus_enumeration_completeness():
 
 # ------------------------------------------------------- criteria 2 and 3
 
-INTERNAL_SUITES = [
-    "loplem", "jclosed", "monotonicity", "jinP-monotonicity",
-    "constant-domain", "maximal-collapse", "kuroda-gg", "forcingL-equiv",
-    "literal-class", "iqc-soundness",
-]
+# check counts and notes of each suite on builtin:default; the scene
+# filters keep different scenes here than on builtin:small
+INTERNAL_SUITES = {
+    "loplem": (226760, []),
+    "jclosed": (247248, []),
+    "monotonicity": (144558, []),
+    "jinP-monotonicity": (35447, []),
+    "constant-domain": (14410, []),
+    "maximal-collapse": (14438, []),
+    "kuroda-gg": (247248, []),
+    "forcingL-equiv": (2914, ["restricted to algebras with <= 8 elements and domains <= 2 (57 scenes)"]),
+    "literal-class": (1080, []),
+    "iqc-soundness": (194689, []),
+}
 
-CLOSURE_SUITES = [
-    "impfree-equiv", "emn", "mndneg", "trp-closure",
-    "dense-dne", "trp-imp-mn", "trp-ladder", "sufcon",
-]
+CLOSURE_SUITES = {
+    "impfree-equiv": (4935, []),
+    "emn": (16920, []),
+    "mndneg": (8460, []),
+    "trp-closure": (467460, []),
+    "dense-dne": (15220, []),
+    "trp-imp-mn": (15540, []),
+    "trp-ladder": (6888, ["level-0 ladder on two-valued-atom models (48 scenes)"]),
+    "sufcon": (1372, ["level-0 condition on dense frames and two-valued-atom models (48 scenes)"]),
+}
 
 
 def test_criterion_2_internal_lemma_suites_on_default_corpus():
     start = time.time()
     corpus = _default_corpus()
-    for suite in INTERNAL_SUITES:
+    for suite, (checks, notes) in INTERNAL_SUITES.items():
         report = run_suite(suite, corpus)
         assert report.passed, (suite, report.failures[:3])
+        assert (report.checks, report.notes) == (checks, notes), suite
     assert time.time() - start < 600
 
 
 def test_criterion_3_closure_suites_on_default_corpus():
     start = time.time()
     corpus = _default_corpus()
-    for suite in CLOSURE_SUITES:
+    for suite, (checks, notes) in CLOSURE_SUITES.items():
         report = run_suite(suite, corpus)
         assert report.passed, (suite, report.failures[:3])
+        assert (report.checks, report.notes) == (checks, notes), suite
     assert time.time() - start < 600
 
 

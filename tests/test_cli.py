@@ -204,6 +204,15 @@ MALFORMED_INPUTS = {
         "poset": {"elements": ["a"], "covers": []}, "domain_size": 2, "atoms": {"S": [[0, 1], [1]]}})],
     "poset-file-over-cap": lambda tmp: ["nuclei", "--poset", _write(tmp, "p.json", {
         "elements": [f"q{i}" for i in range(1000)], "covers": [[f"q{i}", f"q{i + 1}"] for i in range(999)]})],
+    "poset-elements-not-a-list": lambda tmp: ["nuclei", "--poset", _write(tmp, "p.json", {
+        "elements": 5, "covers": []})],
+    "poset-covers-not-a-list": lambda tmp: ["nuclei", "--poset", _write(tmp, "p.json", {
+        "elements": ["a"], "covers": 5})],
+    "poset-repeated-element": lambda tmp: ["nuclei", "--poset", _write(tmp, "p.json", {
+        "elements": ["a", "a", "c"], "covers": [["a", "c"]]})],
+    "candidates-not-integers": lambda tmp: ["demo", "separation", "--candidates", _write(tmp, "c.json", ["x"])],
+    "candidates-float-and-bool": lambda tmp: ["demo", "separation", "--candidates", _write(tmp, "c.json", [1.5, True])],
+    "candidates-not-a-list": lambda tmp: ["demo", "separation", "--candidates", _write(tmp, "c.json", {"0": 1})],
     "model-poset-over-cap": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
         "poset": {"elements": [f"q{i}" for i in range(1000)], "covers": [[f"q{i}", f"q{i + 1}"] for i in range(999)]},
         "domain_size": 1, "atoms": {}})],
@@ -227,6 +236,8 @@ VALID_FILES = {
               lambda path, oracle: ["check", "--suite", "loplem", "--corpus", path]),
     "oracle": ({"label": "f", "table": {"0": 1, "2": 5}},
                lambda path, oracle: REALIZE + ["--oracle", path]),
+    "poset": ({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["a", "c"]]},
+              lambda path, oracle: ["nuclei", "--poset", path]),
     "oracle-poset": ({"oracles": [{"label": "f", "table": {}}, {"label": "g", "table": {"0": 1}}],
                       "edges": [[0, 1]]},
                      lambda path, oracle: REALIZE + ["--oracle", oracle, "--frame", path]),

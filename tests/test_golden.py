@@ -11,7 +11,11 @@ on a realized sentence and on refuted universals and implications (each
 way a `forall` or an `->` can be refuted), over one oracle and over a
 two-oracle chain.  `golden/separation_demo.json` holds the default
 `separation_demo()` report, which acceptance criterion 7 compares.
-After a change that is meant to alter a report, rewrite both files with
+`golden/small_failures.json` holds, for each suite, its `to_dict()` on
+`builtin:small` under an injected fault that makes it record failures,
+so the failure entries, their order and their witness keys are pinned
+for every suite.  After a change that is meant to alter a report,
+rewrite all three files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,13 +27,18 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 from nucforce import cli
-from nucforce.hmodel import SEARCH_TARGETS, SUITES, builtin_corpus, run_suite, search_countermodel
+from nucforce.formula import Mod
+from nucforce.hmodel import SEARCH_TARGETS, SUITES, SceneEval, builtin_corpus, run_suite, search_countermodel
+from nucforce.nucleus import Nucleus
 from nucforce.realizability import separation_demo
+from nucforce.translate import TRANSLATIONS, gg_translate, kuroda_forcing_translate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "small_reports.json")
 DEMO_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "separation_demo.json")
+FAILURES_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "small_failures.json")
 SEARCH_SETS = ("implicational", "imp-free")
 
 # (name, code, sentence); the refuted ones cover, in order, a failing
@@ -74,6 +83,54 @@ def _reports() -> dict:
     return json.loads(json.dumps(out))  # tuples become lists, as in the file
 
 
+_VECTOR = SceneEval.vector
+
+
+def _bottoms(self, *args):
+    return self.h.bottom
+
+
+# Each fault patches the evaluator or the translations, and lists the
+# suites that record failures under it; together they cover all 18.
+FAULTS = {
+    # gg becomes [j]phi, forcing becomes kuroda and kuroda becomes gg
+    "swapped-translations": (
+        lambda: [mock.patch.dict(TRANSLATIONS, {"gg": lambda phi: Mod("j", phi),
+                                                "forcing": kuroda_forcing_translate,
+                                                "kuroda": gg_translate})],
+        ["constant-domain", "emn", "forcingL-equiv", "impfree-equiv", "iqc-soundness",
+         "jclosed", "kuroda-gg", "maximal-collapse", "mndneg"]),
+    "bottom-vectors": (
+        lambda: [mock.patch.object(SceneEval, "vector",
+                                   lambda self, style, phi, env, basis, frame=None: [self.h.bottom] * len(basis))],
+        ["dense-dne", "literal-class", "trp-closure"]),
+    # every vector read backwards, and every nucleus applied one element up
+    "reversed-vectors": (
+        lambda: [mock.patch.object(SceneEval, "vector", lambda self, *args: _VECTOR(self, *args)[::-1]),
+                 mock.patch.object(Nucleus, "__call__", lambda self, a: self.table[(a + 1) % len(self.table)])],
+        ["jinP-monotonicity", "loplem", "monotonicity"]),
+    "bottom-mono": (
+        lambda: [mock.patch.object(SceneEval, "mono_val", _bottoms)],
+        ["trp-imp-mn"]),
+    "bottom-equiv-trp": (
+        lambda: [mock.patch.object(SceneEval, "equiv_val", _bottoms),
+                 mock.patch.object(SceneEval, "trp_val", lambda self, phi, rows, cols=None:
+                                   [[self.h.bottom] * len(rows if cols is None else cols) for _ in rows.members])],
+        ["sufcon", "trp-ladder"]),
+}
+
+
+def _failure_reports() -> dict:
+    corpus = builtin_corpus("builtin:small")
+    out = {}
+    for fault, (patches, suites) in FAULTS.items():
+        with contextlib.ExitStack() as stack:
+            for patch in patches():
+                stack.enter_context(patch)
+            out[fault] = {name: run_suite(name, corpus).to_dict() for name in suites}
+    return json.loads(json.dumps(out))
+
+
 def _golden() -> dict:
     with open(GOLDEN) as fh:
         return json.load(fh)
@@ -96,8 +153,21 @@ def test_realize_reports_match_golden():
         assert got[key] == want[key], key
 
 
+def test_small_corpus_failures_match_golden():
+    with open(FAILURES_GOLDEN) as fh:
+        want = json.load(fh)
+    got = _failure_reports()
+    assert sorted(name for suites in got.values() for name in suites) == sorted(SUITES)
+    assert sorted(got) == sorted(want)
+    for fault in want:
+        for name, report in want[fault].items():
+            assert not report["passed"], (fault, name)
+            assert got[fault][name] == report, (fault, name)
+
+
 if __name__ == "__main__":
-    for path, report in ((GOLDEN, _reports()), (DEMO_GOLDEN, separation_demo())):
+    for path, report in ((GOLDEN, _reports()), (DEMO_GOLDEN, separation_demo()),
+                         (FAILURES_GOLDEN, _failure_reports())):
         with open(path, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
