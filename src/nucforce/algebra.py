@@ -9,7 +9,7 @@ order is reproducible across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 MAX_POINTS = 16
@@ -113,12 +113,17 @@ def poset_violations(elements, leq) -> list[str]:
 def load_poset(path: str) -> FinPoset:
     """Read a poset from a JSON file with `elements` and `covers` keys."""
     with open(path) as fh:
-        data = json.load(fh)
+        return poset_from_json(json.load(fh), path)
+
+
+def poset_from_json(data, source: str) -> FinPoset:
+    """Build a poset from a decoded JSON object with `elements` and
+    `covers` keys, read from `source`: a poset file or a model file."""
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
-        raise AlgebraError(f"{path}: poset file needs 'elements' and 'covers' keys")
+        raise AlgebraError(f"{source}: a poset needs 'elements' and 'covers' keys")
     elements, covers = data["elements"], data["covers"]
     if not (isinstance(elements, list) and isinstance(covers, list) and all(isinstance(c, list) for c in covers)):
-        raise AlgebraError(f"{path}: 'elements' must be a list and 'covers' a list of pairs")
+        raise AlgebraError(f"{source}: 'elements' must be a list and 'covers' a list of pairs")
     check_poset_size(len(elements))
     return FinPoset.from_covers(elements, [tuple(c) for c in covers])
 
@@ -135,8 +140,6 @@ class HeytingAlg:
     meet: tuple[tuple[int, ...], ...]
     join: tuple[tuple[int, ...], ...]
     imp: tuple[tuple[int, ...], ...]
-    # for upset algebras: the bitmask of each carrier element, else None
-    masks: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -224,7 +227,7 @@ def upset_algebra(p: FinPoset) -> HeytingAlg:
     join = tuple(tuple(pos[masks[a] | masks[b]] for b in range(size)) for a in range(size))
     imp = tuple(tuple(pos[imp_mask(masks[a], masks[b])] for b in range(size)) for a in range(size))
     names = tuple("{" + ",".join(p.elements[i] for i in range(n) if m & (1 << i)) + "}" for m in masks)
-    return HeytingAlg(names, meet, join, imp, masks=tuple(masks))
+    return HeytingAlg(names, meet, join, imp)
 
 
 def validate_heyting(h: HeytingAlg) -> str | None:

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .algebra import AlgebraError, FinPoset, check_poset_size, load_poset, upset_algebra
-from .formula import FormulaError, parse, print_formula
+from .formula import MAX_NESTING, FormulaError, parse, print_formula, read_numeral
 from .nucleus import NucleusError, enumerate_nuclei, is_dense
 from .translate import TRANSLATIONS
 from .hmodel import (
@@ -150,38 +150,52 @@ def cmd_search(args) -> int:
 def parse_code(text: str) -> int:
     """A code given as a number or a parenthesised combinator term."""
     text = text.strip()
-    if text.isdigit():
-        return int(text)
+    if text.isdecimal():
+        return read_numeral(text)
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = [0]
 
-    def atom():
+    def atom(depth):
         if pos[0] >= len(tokens):
             raise CliError("code term ends early")
         tok = tokens[pos[0]]
         pos[0] += 1
         if tok == "(":
-            t = expr()
+            if depth == MAX_NESTING:
+                raise CliError(f"code term nests deeper than {MAX_NESTING} levels")
+            t = expr(depth + 1)
             if pos[0] >= len(tokens) or tokens[pos[0]] != ")":
                 raise CliError("unbalanced parentheses in code term")
             pos[0] += 1
             return t
         if tok in ARITY:
             return tok
-        if tok.isdigit():
-            return ("num", int(tok))
+        if tok.isdecimal():
+            return ("num", read_numeral(tok))
         raise CliError(f"unknown token {tok!r} in code term")
 
-    def expr():
-        t = atom()
+    def expr(depth):
+        t = atom(depth)
         while pos[0] < len(tokens) and tokens[pos[0]] != ")":
-            t = ("app", t, atom())
+            t = ("app", t, atom(depth))
         return t
 
-    t = expr()
+    t = expr(0)
     if pos[0] != len(tokens):
         raise CliError("trailing tokens in code term")
-    return encode(t)
+    # a chain of applications nests in the term without nesting in the text
+    depth, level = -1, [t]
+    while level:
+        depth += 1
+        level = [u for node in level if node[0] == "app" for u in node[1:]]
+    if depth > MAX_NESTING:
+        raise CliError(f"code term nests deeper than {MAX_NESTING} levels")
+    code = encode(t)
+    try:
+        str(code)  # the report prints the code in decimal
+    except ValueError:
+        raise CliError("code term is too long: its code has more digits than Python prints") from None
+    return code
 
 
 def cmd_realize(args) -> int:
@@ -284,7 +298,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, AlgebraError, NucleusError, FormulaError, HModelError,
-            RealizabilityError, FileNotFoundError, json.JSONDecodeError) as exc:
+            RealizabilityError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -189,6 +189,12 @@ class ParseError(FormulaError):
         self.col = col
 
 
+# Deepest nesting the parsers accept, in the text (brackets, negations,
+# quantifiers, implications, successors) and in the parsed tree.  The
+# printer, the translations and the machine checker recurse once or twice
+# per level, well inside Python's default limit of 1,000 frames.
+MAX_NESTING = 100
+
 KEYWORDS = {"forall", "exists", "bot", "S"}
 _SYMBOLS = ["/\\", "\\/", "->", "-.", ">=", "(", ")", "[", "]", ",", ".", "=", "+", "*", "~"]
 _TOKEN_RE = re.compile(
@@ -231,6 +237,7 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.arities: dict[str, int] = dict(FIXED_ARITIES)
 
     def peek(self) -> str | None:
@@ -257,19 +264,31 @@ class Parser:
         self.pos += 1
         return tok
 
+    def nested(self, parse_part):
+        """parse_part() one level deeper, refusing more than MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse_part()
+        finally:
+            self.depth -= 1
+
     def parse(self) -> Formula:
         if not self.tokens:
             self.fail("empty input")
         phi = self.formula()
         if self.peek() is not None:
             self.fail(f"unexpected trailing token {self.peek()!r}")
+        if _tree_depth(phi) > MAX_NESTING:  # chains of connectives and operators nest only in the tree
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
         return phi
 
     def formula(self) -> Formula:
         left = self.disjunction()
         if self.peek() == "->":
             self.take("->")
-            return Imp(left, self.formula())
+            return Imp(left, self.nested(self.formula))
         return left
 
     def disjunction(self) -> Formula:
@@ -290,12 +309,12 @@ class Parser:
         tok = self.peek()
         if tok == "~":
             self.take("~")
-            return neg(self.unary())
+            return neg(self.nested(self.unary))
         if tok in ("forall", "exists"):
             kind = self.take()
             var = self.variable()
             self.take(".")
-            body = self.formula()
+            body = self.nested(self.formula)
             return Forall(var, body) if kind == "forall" else Exists(var, body)
         return self.atom()
 
@@ -318,7 +337,7 @@ class Parser:
             saved = self.pos
             self.take("(")
             try:
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.take(")")
                 return inner
             except ParseError:
@@ -368,17 +387,16 @@ class Parser:
         if tok is None:
             self.fail("expected a term")
         if tok.isdigit():
-            self.take()
-            return num(int(tok))
+            return num(read_numeral(self.take()))
         if tok == "S":
             self.take()
             self.take("(")
-            inner = self.term()
+            inner = self.nested(self.term)
             self.take(")")
             return Succ(inner)
         if tok == "(":
             self.take()
-            inner = self.term()
+            inner = self.nested(self.term)
             self.take(")")
             return inner
         if tok[0].islower() and tok not in KEYWORDS:
@@ -389,6 +407,15 @@ class Parser:
 
 def parse(text: str) -> Formula:
     return Parser(text).parse()
+
+
+def read_numeral(text: str) -> int:
+    """The value of a decimal numeral, refusing one longer than Python
+    converts (4,300 digits by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormulaError(f"numeral of {len(text)} digits is too long") from None
 
 
 # -------------------------------------------------------------- printer
@@ -443,6 +470,23 @@ def print_formula(phi: Formula, level: int = 0) -> str:
 
 
 # ------------------------------------------------- structural utilities
+
+def _tree_depth(phi: Formula | Term) -> int:
+    """Edges on the longest path down from the root, counted without recursion."""
+    depth, level = -1, [phi]
+    while level:
+        depth += 1
+        # getattr, not vars(): a node's __dict__, once made, slows every later attribute read
+        level = [child for node in level for name in node.__dataclass_fields__
+                 for child in _children(getattr(node, name))]
+    return depth
+
+
+def _children(value) -> tuple:
+    if isinstance(value, (Formula, Term)):
+        return (value,)
+    return value if isinstance(value, tuple) else ()
+
 
 def term_vars(t: Term) -> set[str]:
     if isinstance(t, Var):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, permutations, product
 
-from .algebra import FinPoset, HeytingAlg, check_poset_size, upset_algebra
+from .algebra import FinPoset, HeytingAlg, poset_from_json, upset_algebra
 from .formula import (
     And,
     Atom,
@@ -625,8 +625,7 @@ def load_model(path: str) -> Scene:
     with open(path) as fh:
         data = json.load(fh)
     try:
-        elements = list(data["poset"]["elements"])
-        covers = [tuple(c) for c in data["poset"]["covers"]]
+        poset = data["poset"]
         domain_size = data["domain_size"]
         raw_atoms = data["atoms"]
         frame_specs = data.get("frames", [["id"]])
@@ -639,8 +638,7 @@ def load_model(path: str) -> Scene:
     if not (isinstance(frame_specs, list)
             and all(isinstance(spec, list) and all(isinstance(n, str) for n in spec) for spec in frame_specs)):
         raise HModelError(f"{path}: frames must be a list of lists of nucleus names")
-    check_poset_size(len(elements))
-    h = upset_algebra(FinPoset.from_covers(elements, covers))
+    h = upset_algebra(poset_from_json(poset, path))
     atom_val = {}
     for rel, nested in raw_atoms.items():
         table = {}

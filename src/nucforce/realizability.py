@@ -16,7 +16,9 @@ same clauses.
 
 All verdicts are budgeted: Realized is certified only for the supplied
 fuel, universe, and candidate bounds; Refuted carries a concrete
-replayable counter-witness and is absolute.
+replayable counter-witness, absolute unless it applies the code to an
+antecedent realizer, whose own verdict is only certified within the
+candidate bound.
 """
 
 from __future__ import annotations
@@ -251,24 +253,25 @@ class OraclePoset:
     """Finite set of oracles ordered by extension."""
 
     oracles: tuple[Oracle, ...]
-    # member table -> the members extending it, built on the first `up`
+    # member table -> the members extending it
     _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # budgets -> the `check_assumption_A` report, built on the first `preal_standard`
     _agreement: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (budgets, formula, member table) -> the antecedent realizers `_members`
+    # found; every check on this frame shares it, for as long as the frame lives
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tables = [o.table for o in self.oracles]
-        if len(set(tables)) != len(tables):
+        for g in self.oracles:
+            self._up[g.table] = [h for h in self.oracles if h.extends(g)]
+        if len(self._up) != len(self.oracles):
             raise RealizabilityError("duplicate oracle table in poset")
 
     def __contains__(self, f: Oracle) -> bool:
-        return any(o.table == f.table for o in self.oracles)
+        return f.table in self._up
 
     def up(self, f: Oracle) -> list[Oracle]:
         """The members that extend the member f, f included, in poset order."""
-        if not self._up:
-            for g in self.oracles:
-                self._up[g.table] = [h for h in self.oracles if h.extends(g)]
         got = self._up.get(f.table)
         if got is None:
             raise RealizabilityError(f"oracle {f.label} is not a member of the poset")
@@ -561,109 +564,104 @@ def _require_checkable(phi: Formula):
 
 # ------------------------------------------------------------- checker
 
-class _ExtensionChecker:
-    """Realizability over a poset of oracles ordered by extension.
+def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
+    """Whether e realizes phi at the member f of the frame T: "R", "F" or
+    "E" (out of budget), with a detail for "F".
 
-    Implications and universals quantify over every extension of the
-    current oracle in the poset and apply codes with that extension
-    available; the remaining clauses behave as at the current oracle.
-    On a one-point frame this is plain realizability relative to the
-    oracle, with the consequent-side modality absorbed into oracle
-    application (the guarded form of the relative implication).
+    Implications and universals quantify over every extension of f in T
+    and apply codes with that extension available; the remaining clauses
+    behave as at f.  On a one-point frame this is plain realizability
+    relative to the oracle, with the consequent-side modality absorbed
+    into oracle application (the guarded form of the relative implication).
     """
+    if isinstance(phi, Bot):
+        return "F", "falsum has no realizers"
+    if isinstance(phi, (Eq, Atom)):
+        if _atom_true(phi):
+            return "R", ""
+        return "F", f"atom {print_formula(phi)} is false"
+    if isinstance(phi, And):
+        n, m = unpair(e)
+        st1, d1 = _status(n, phi.left, f, T, cfg)
+        if st1 == "F":
+            return "F", f"left component {n}: {d1}"
+        st2, d2 = _status(m, phi.right, f, T, cfg)
+        if st2 == "F":
+            return "F", f"right component {m}: {d2}"
+        return ("E", "budget") if "E" in (st1, st2) else ("R", "")
+    if isinstance(phi, Or):
+        tag, n = unpair(e)
+        if tag == 0:
+            return _status(n, phi.left, f, T, cfg)
+        if tag == 1:
+            return _status(n, phi.right, f, T, cfg)
+        return "F", f"disjunction tag {tag} is neither 0 nor 1"
+    if isinstance(phi, Exists):
+        w, r = unpair(e)
+        st, d = _status(r, subst(phi.body, {phi.var: num(w)}), f, T, cfg)
+        if st == "F":
+            return "F", f"witness {w}: {d}"
+        return st, d
+    if isinstance(phi, Forall):
+        pending = False
+        for g in T.up(f):
+            for m in range(cfg.universe):
+                st, v = _code_apply(e, m, g, cfg.fuel)
+                if st == "F":
+                    return "F", f"application fails at {m} over {g.label}: {v}"
+                if st == "E":
+                    pending = True
+                    continue
+                st2, d2 = _status(v, subst(phi.body, {phi.var: num(m)}), g, T, cfg)
+                if st2 == "F":
+                    return "F", f"instance {m} fails at {g.label}: {d2}"
+                if st2 == "E":
+                    pending = True
+        return ("E", "budget") if pending else ("R", "")
+    if isinstance(phi, Imp):
+        pending = False
+        for g in T.up(f):
+            members, exhausted = _members(phi.left, g, T, cfg)
+            pending = pending or exhausted
+            for n in members:
+                st, v = _code_apply(e, n, g, cfg.fuel)
+                if st == "F":
+                    return "F", f"application fails on realizer {n} at {g.label}: {v}"
+                if st == "E":
+                    pending = True
+                    continue
+                st2, d2 = _status(v, phi.right, g, T, cfg)
+                if st2 == "F":
+                    return "F", f"consequent fails for realizer {n} at {g.label}: {d2}"
+                if st2 == "E":
+                    pending = True
+        return ("E", "budget") if pending else ("R", "")
+    raise RealizabilityError(f"cannot check node {phi!r}")
 
-    def __init__(self, poset: OraclePoset, cfg: Budgets):
-        self.poset = poset
-        self.cfg = cfg
-        self._sets: dict = {}
 
-    def status(self, e: int, phi: Formula, f: Oracle):
-        if isinstance(phi, Bot):
-            return "F", "falsum has no realizers"
-        if isinstance(phi, (Eq, Atom)):
-            if _atom_true(phi):
-                return "R", ""
-            return "F", f"atom {print_formula(phi)} is false"
-        if isinstance(phi, And):
-            n, m = unpair(e)
-            st1, d1 = self.status(n, phi.left, f)
-            if st1 == "F":
-                return "F", f"left component {n}: {d1}"
-            st2, d2 = self.status(m, phi.right, f)
-            if st2 == "F":
-                return "F", f"right component {m}: {d2}"
-            return ("E", "budget") if "E" in (st1, st2) else ("R", "")
-        if isinstance(phi, Or):
-            tag, n = unpair(e)
-            if tag == 0:
-                return self.status(n, phi.left, f)
-            if tag == 1:
-                return self.status(n, phi.right, f)
-            return "F", f"disjunction tag {tag} is neither 0 nor 1"
-        if isinstance(phi, Exists):
-            w, r = unpair(e)
-            st, d = self.status(r, subst(phi.body, {phi.var: num(w)}), f)
-            if st == "F":
-                return "F", f"witness {w}: {d}"
-            return st, d
-        if isinstance(phi, Forall):
-            pending = False
-            for g in self.poset.up(f):
-                for m in range(self.cfg.universe):
-                    st, v = _code_apply(e, m, g, self.cfg.fuel)
-                    if st == "F":
-                        return "F", f"application fails at {m} over {g.label}: {v}"
-                    if st == "E":
-                        pending = True
-                        continue
-                    st2, d2 = self.status(v, subst(phi.body, {phi.var: num(m)}), g)
-                    if st2 == "F":
-                        return "F", f"instance {m} fails at {g.label}: {d2}"
-                    if st2 == "E":
-                        pending = True
-            return ("E", "budget") if pending else ("R", "")
-        if isinstance(phi, Imp):
-            pending = False
-            for g in self.poset.up(f):
-                members, exhausted = self.members(phi.left, g)
-                pending = pending or exhausted
-                for n in members:
-                    st, v = _code_apply(e, n, g, self.cfg.fuel)
-                    if st == "F":
-                        return "F", f"application fails on realizer {n} at {g.label}: {v}"
-                    if st == "E":
-                        pending = True
-                        continue
-                    st2, d2 = self.status(v, phi.right, g)
-                    if st2 == "F":
-                        return "F", f"consequent fails for realizer {n} at {g.label}: {d2}"
-                    if st2 == "E":
-                        pending = True
-            return ("E", "budget") if pending else ("R", "")
-        raise RealizabilityError(f"cannot check node {phi!r}")
-
-    def members(self, phi: Formula, f: Oracle):
-        key = (phi, f.table)
-        got = self._sets.get(key)
-        if got is None:
-            members = []
-            exhausted = False
-            for c in range(self.cfg.candidates):
-                st, _ = self.status(c, phi, f)
-                if st == "R":
-                    members.append(c)
-                elif st == "E":
-                    exhausted = True
-            got = (members, exhausted)
-            self._sets[key] = got
-        return got
+def _members(phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
+    """The codes below the candidate bound that realize phi at f, and
+    whether any of them ran out of budget; kept in the frame's memo."""
+    key = (cfg, phi, f.table)
+    got = T._members.get(key)
+    if got is None:
+        members = []
+        exhausted = False
+        for c in range(cfg.candidates):
+            st, _ = _status(c, phi, f, T, cfg)
+            if st == "R":
+                members.append(c)
+            elif st == "E":
+                exhausted = True
+        got = T._members[key] = (members, exhausted)
+    return got
 
 
 _VERDICT = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}
 
 
 def _check(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets, trace: dict) -> Outcome:
-    st, detail = _ExtensionChecker(T, cfg).status(e, phi, f)
+    st, detail = _status(e, phi, f, T, cfg)
     return Outcome(_VERDICT[st], detail=detail, budgets=cfg.to_dict(), trace=trace)
 
 
@@ -830,8 +828,7 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
     _require_checkable(phi)
     if at not in T or g not in T:
         raise RealizabilityError("both the target and the extension must belong to the poset")
-    checker = _ExtensionChecker(T, cfg)
-    st, d = checker.status(r, phi, g)
+    st, d = _status(r, phi, g, T, cfg)
     if st != "R":
         raise RealizabilityError(f"supplied code {r} does not realize the formula at {g.label}: {d}")
     # Cofinality: above every extension of the target there is a node
@@ -844,7 +841,7 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
             witness = (g.label, r)
         else:
             for ell in T.up(k):
-                found, _ = checker.members(phi, ell)
+                found, _ = _members(phi, ell, T, cfg)
                 if found:
                     witness = (ell.label, found[0])
                     break
@@ -856,13 +853,8 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
     # falsum), so the identity-like code realizes the double negation at
     # the target: its implication clause ranges over an empty realizer
     # set at every extension.  This justification is exact, not a scan.
-    refutations = {
-        k.label: {
-            "refuted_candidates": cfg.candidates,
-            "by": cofinal[k.label],
-        }
-        for k in T.up(at)
-    }
+    refutations = {label: {"refuted_candidates": cfg.candidates, "by": witness}
+                   for label, witness in cofinal.items()}
     code = identity_code()
     report = {
         "code": code,
@@ -958,15 +950,13 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
         "instances": entries,
     }
 
-    # (ii) candidate refutation on a disjunctive instance at the root;
-    # one checker is shared so antecedent realizer sets are scanned once
+    # (ii) candidate refutation on a disjunctive instance at the root
     disj = universal_instance(PiOrPi(1), e_div, e_div, e_halt, e_halt)
     target = Imp(neg(neg(disj)), disj)
-    shared = _ExtensionChecker(chain, cfg)
     entries = []
     for c in candidates:
-        st, d = shared.status(c, target, f0)
-        entries.append({"candidate": c, "verdict": _VERDICT[st], "detail": d})
+        out = djg_realizes(c, target, f0, chain, cfg)
+        entries.append({"candidate": c, "verdict": out.verdict, "detail": out.detail})
     report["sections"]["ii"] = {
         "label": "supplied candidates refuted on the disjunctive DNE instance",
         "green": (not candidates) or all(en["verdict"] == REFUTED for en in entries),
@@ -975,26 +965,25 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
         "candidates": entries,
     }
 
-    # (iii) double negation of the instance realized at the root by lifting
+    # (iii) double negation of the instance realized at the root by lifting;
+    # the lift's checked precondition is the top-node check, so the top
+    # verdict is computed again only to report why the lift was refused
     picker = lam("n", app("CASE", app("ORA", numt(e_div)),
                           app("PAIR", numt(0), numt(halting_code(0))),
                           lam("u", app("PAIR", numt(1), numt(halting_code(0))))))
     r_top = encode(picker)
-    top_out = djg_realizes(r_top, target, f1, chain, cfg)
-    if top_out.realized:
-        try:
-            _, lift_report = not_not_lift(target, chain, f1, r_top, f0, cfg)
-            green = lift_report["verdict"] == REALIZED
-        except RealizabilityError as exc:
-            lift_report = {"error": str(exc)}
-            green = False
-    else:
-        lift_report = {"error": f"no realizer at the top node: {top_out.detail}"}
+    try:
+        _, lift_report = not_not_lift(target, chain, f1, r_top, f0, cfg)
+        top_verdict = REALIZED
+        green = lift_report["verdict"] == REALIZED
+    except RealizabilityError as exc:
+        lift_report = {"error": str(exc)}
+        top_verdict = djg_realizes(r_top, target, f1, chain, cfg).verdict
         green = False
     report["sections"]["iii"] = {
         "label": "double negation of the instance realized at the root via the lift",
         "green": green,
-        "top_verdict": top_out.verdict,
+        "top_verdict": top_verdict,
         "lift": lift_report,
     }
 

@@ -132,7 +132,7 @@ class MParser(Parser):
             self.take("[")
             nvar = self.variable()
             self.take("]")
-            return Mod(nvar, self.unary())
+            return Mod(nvar, self.nested(self.unary))
         if tok == "all":
             self.take("all")
             kvar = self.variable()
@@ -141,7 +141,7 @@ class MParser(Parser):
             self.take("in")
             frame = self.frame_name()
             self.take(".")
-            return GuardAll(kvar, frame, above, self.formula())
+            return GuardAll(kvar, frame, above, self.nested(self.formula))
         return super().unary()
 
     def frame_name(self) -> str:

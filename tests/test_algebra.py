@@ -139,8 +139,10 @@ def test_upset_algebra_element_count_is_number_of_upsets():
 def test_upset_algebra_le_is_subset_order():
     p = FinPoset.antichain(2)
     h = upset_algebra(p)
+    labels = [set(name.strip("{}").split(",")) - {""} for name in h.names]
+    assert labels == [set(), {"a0"}, {"a1"}, {"a0", "a1"}]
     for a, b in product(h.carrier, h.carrier):
-        assert h.le(a, b) == ((h.masks[a] & h.masks[b]) == h.masks[a])
+        assert h.le(a, b) == (labels[a] <= labels[b])
 
 
 def test_residuation_on_small_algebras():

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 
 from nucforce import cli
 from nucforce.algebra import FinPoset
+from nucforce.formula import MAX_NESTING
 from nucforce.realizability import app, diverging_code, encode, numt
+from nucforce.translate import TRANSLATIONS
+
+from test_formula import NESTED
 
 
 def run(capsys, *argv):
@@ -155,6 +159,38 @@ def test_realize_verdict_exit_codes(capsys, tmp_path):
     assert verdicts == [(1, "refuted"), (0, "realized"), (0, "realized")]
 
 
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_formulas_at_the_nesting_cap_translate_print_and_realize(capsys, tmp_path, shape):
+    oracle = _oracle_file(tmp_path)
+    text = NESTED[shape](MAX_NESTING)
+    for style in sorted(TRANSLATIONS):
+        assert run(capsys, "translate", "--style", style, text)[0] == 0
+    code, out, _ = run(capsys, "realize", "--code", "(K 0)", "--formula", text, "--oracle", oracle)
+    assert code in (0, 1, 3) and json.loads(out)["formula"]
+    code, out, err = run(capsys, "translate", NESTED[shape](MAX_NESTING + 1))
+    assert code == 2 and out == "" and f"nesting deeper than {MAX_NESTING} levels" in err
+
+
+# One code term per way to nest, k levels deep: brackets nest in the
+# text, applications in the term.
+NESTED_CODES = {
+    "brackets": lambda k: "(" * k + "K" + ")" * k,
+    "arguments": lambda k: "(K " * k + "0" + ")" * k,
+    "applications": lambda k: "SUCC " + "S " * k,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_CODES))
+def test_code_terms_at_the_nesting_cap_realize(capsys, tmp_path, shape):
+    oracle = _oracle_file(tmp_path)
+    code, out, _ = run(capsys, "realize", "--code", NESTED_CODES[shape](MAX_NESTING),
+                       "--formula", "forall x. x = x", "--oracle", oracle)
+    assert code in (0, 1) and json.loads(out)["verdict"] in ("realized", "refuted")
+    code, out, err = run(capsys, "realize", "--code", NESTED_CODES[shape](MAX_NESTING + 1),
+                         "--formula", "0 = 0", "--oracle", oracle)
+    assert code == 2 and out == "" and f"nests deeper than {MAX_NESTING} levels" in err
+
+
 def test_realize_with_frame(capsys, tmp_path):
     oracle = _oracle_file(tmp_path)
     frame = tmp_path / "frame.json"
@@ -180,6 +216,17 @@ MALFORMED_INPUTS = {
                                               "--oracle", _write(tmp, "o.json", {"table": {"0": "x"}})],
     "open-code-term": lambda tmp: ["realize", "--code", "(", "--formula", "0 = 0",
                                    "--oracle", _oracle_file(tmp)],
+    "formula-nested-3000-deep": lambda tmp: ["translate", "~" * 3000 + "bot"],
+    "code-nested-3000-deep": lambda tmp: ["realize", "--code", "(" * 3000 + "K" + ")" * 3000, "--formula", "0 = 0",
+                                          "--oracle", _oracle_file(tmp)],
+    "code-superscript-digit": lambda tmp: ["realize", "--code", "\u00b2", "--formula", "0 = 0",
+                                           "--oracle", _oracle_file(tmp)],
+    "code-numeral-over-4300-digits": lambda tmp: ["realize", "--code", "9" * 5000, "--formula", "0 = 0",
+                                                  "--oracle", _oracle_file(tmp)],
+    "code-term-over-4300-digits": lambda tmp: ["realize", "--code", "K " * 4000, "--formula", "0 = 0",
+                                               "--oracle", _oracle_file(tmp)],
+    "formula-numeral-over-4300-digits": lambda tmp: ["realize", "--code", "0", "--formula", "0 = " + "9" * 5000,
+                                                     "--oracle", _oracle_file(tmp)],
     "non-integer-atom": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
         "poset": {"elements": ["a"], "covers": []}, "domain_size": 1, "atoms": {"R": ["high"]}})],
     "non-integer-domain": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
@@ -213,6 +260,9 @@ MALFORMED_INPUTS = {
     "candidates-not-integers": lambda tmp: ["demo", "separation", "--candidates", _write(tmp, "c.json", ["x"])],
     "candidates-float-and-bool": lambda tmp: ["demo", "separation", "--candidates", _write(tmp, "c.json", [1.5, True])],
     "candidates-not-a-list": lambda tmp: ["demo", "separation", "--candidates", _write(tmp, "c.json", {"0": 1})],
+    "model-poset-elements-a-string": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
+        "poset": {"elements": "ab", "covers": ["ab"]}, "domain_size": 1, "atoms": {}})],
+    "poset-spec-a-directory": lambda tmp: ["nuclei", "--poset", str(tmp)],
     "model-poset-over-cap": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
         "poset": {"elements": [f"q{i}" for i in range(1000)], "covers": [[f"q{i}", f"q{i + 1}"] for i in range(999)]},
         "domain_size": 1, "atoms": {}})],
@@ -285,6 +335,21 @@ def _mutated(draw, doc):
     return doc
 
 
+def _assert_exit_code_contract(tmp, argv):
+    """Run the command built by argv(oracle path) and check its exit code."""
+    oracle = os.path.join(tmp, "oracle.json")
+    with open(oracle, "w") as fh:
+        json.dump(VALID_FILES["oracle"][0], fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv(oracle))
+        except SystemExit as exc:  # argparse's usage error, e.g. for a value starting with "-"
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("kind", sorted(VALID_FILES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -295,14 +360,53 @@ def test_mutated_input_files_keep_the_exit_code_contract(kind, data):
         path = os.path.join(tmp, "in.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        oracle = os.path.join(tmp, "oracle.json")
-        with open(oracle, "w") as fh:
-            json.dump(VALID_FILES["oracle"][0], fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv(path, oracle))
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+        _assert_exit_code_contract(tmp, lambda oracle: argv(path, oracle))
+
+
+# Valid command-line values and the command that reads each, given the
+# value and a valid oracle file, with the pieces that mutations insert.
+VALID_ARGS = {
+    "formula": ("forall x. exists y. y = S(x) /\\ ~ x = 3",
+                lambda text, oracle: ["realize", "--code", "(K 0)", "--formula", text, "--oracle", oracle]),
+    "translated-formula": ("forall x. R(x) -> exists y. Q(y) \\/ 0 = 1",
+                           lambda text, oracle: ["translate", "--style", "forcing", text]),
+    "code": ("(K (PAIR (ORA 0) 0))",
+             lambda text, oracle: ["realize", "--code", text, "--formula", "forall x. exists y. y = 1",
+                                   "--oracle", oracle]),
+    "poset": ("chain:3", lambda text, oracle: ["algebra", "--poset", text]),
+}
+FORMULA_PIECES = ["~", "(", ")", "->", "\\/", "/\\", "forall x.", "exists y.", "bot", "R(x)", "0", "7", "S(",
+                  "=", "+", "*", "-.", "x", ",", "[j]", "\u00b2", " "]
+ARG_PIECES = {
+    "formula": FORMULA_PIECES,
+    "translated-formula": FORMULA_PIECES,
+    "code": ["(", ")", "K", "S", "PAIR", "ORA", "HALT", "FIX", "0", "99", "x", "\u00b2", " "],
+    "poset": ["chain:", "antichain:", "-", "0", "1", "9", "x", ":", ".", "/", "\u00b2", " "],
+}
+REPEATS = [1, 2, 50, MAX_NESTING + 1, 3000]
+
+
+@st.composite
+def _mutated_text(draw, text, pieces):
+    """Apply one to three edits: delete a slice, or insert one piece
+    repeated up to 3,000 times."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + text[draw(st.integers(i, len(text))):]
+        else:
+            text = text[:i] + draw(st.sampled_from(pieces)) * draw(st.sampled_from(REPEATS)) + text[i:]
+    return text
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_ARGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_arguments_keep_the_exit_code_contract(kind, data):
+    valid, argv = VALID_ARGS[kind]
+    text = data.draw(_mutated_text(valid, ARG_PIECES[kind]), label="argument")
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_exit_code_contract(tmp, lambda oracle: argv(text, oracle))
 
 
 def test_demo_rejects_unknown_name(capsys):

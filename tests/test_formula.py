@@ -14,6 +14,7 @@ from nucforce.formula import (
     Imp,
     LITERAL_CLASS_R,
     IMPLICATION_FREE,
+    MAX_NESTING,
     NumLit,
     Or,
     ParseError,
@@ -85,6 +86,28 @@ def test_parse_errors():
     for bad in ["", "R(", "forall . R(x)", "R(x) ->", "x = = y", "R(x))"]:
         with pytest.raises(ParseError):
             parse(bad)
+
+
+# One formula per way to nest, k levels deep: brackets, negations,
+# quantifiers, implications and successors nest in the parser, chains of
+# binary connectives and operators only in the tree.
+NESTED = {
+    "negations": lambda k: "~" * k + "bot",
+    "brackets": lambda k: "(" * k + "bot" + ")" * k,
+    "term-brackets": lambda k: "(" * k + "0" + ")" * k + " = 0",
+    "quantifiers": lambda k: "forall x. " * k + "bot",
+    "implications": lambda k: "bot -> " * k + "bot",
+    "successors": lambda k: "S(" * (k - 1) + "0" + ")" * (k - 1) + " = 0",
+    "disjunctions": lambda k: " \\/ ".join(["bot"] * (k + 1)),
+    "sums": lambda k: " + ".join(["0"] * k) + " = 0",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_parser_refuses_nesting_past_the_cap(shape):
+    parse(NESTED[shape](MAX_NESTING))
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING} levels"):
+        parse(NESTED[shape](MAX_NESTING + 1))
 
 
 def test_fixed_arity_atom_checked():

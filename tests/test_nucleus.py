@@ -1,6 +1,5 @@
 """Tests for nucleus recognition, enumeration, and frames."""
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -104,13 +103,6 @@ def test_upset_algebras_have_one_nucleus_per_subset_of_points():
         tables = [j.table for j in enumerate_nuclei(upset_algebra(p))]
         assert len(tables) == 2 ** len(p.elements)
         assert all(a < b for a, b in zip(tables, tables[1:]))
-
-
-def test_enumeration_needs_no_upset_masks():
-    for p in all_posets(3) + [FinPoset.chain(5)]:
-        h = upset_algebra(p)
-        bare = replace(h, masks=None)
-        assert [j.table for j in enumerate_nuclei(bare)] == [j.table for j in enumerate_nuclei(h)]
 
 
 def test_nucleus_constructor_rejects_non_nucleus():

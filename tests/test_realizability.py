@@ -490,6 +490,40 @@ def test_preal_standard_raises_on_every_call_when_agreement_fails():
             preal_standard(pair(1, 0), parse("exists x. x = 1"), T.oracles[0], T)
 
 
+@pytest.mark.parametrize("order", [(4, 8), (8, 4)])
+def test_frame_memo_keeps_budgets_apart(order):
+    # below 4 no code realizes the antecedent, so the implication holds
+    # vacuously; below 8 code 6 = pair(3, 0) does, and code 0 cannot
+    # be applied to it
+    T = OraclePoset((EMPTY_ORACLE,))
+    phi = parse("(exists x. x = 3) -> 0 = 0")
+    want = {4: REALIZED, 8: REFUTED}
+    for candidates in order:
+        assert djg_realizes(0, phi, EMPTY_ORACLE, T, Budgets(candidates=candidates)).verdict == want[candidates]
+
+
+def test_repeated_check_on_a_frame_scans_no_antecedent_again(monkeypatch):
+    from nucforce import realizability
+
+    calls = []
+    status = realizability._status
+
+    def counted(*args):
+        calls.append(args[:2])
+        return status(*args)
+
+    monkeypatch.setattr(realizability, "_status", counted)
+    T = OraclePoset((EMPTY_ORACLE,))
+    phi = parse("(exists x. x = 3) -> 0 = 0")
+    cfg = Budgets(candidates=8)
+    first = djg_realizes(0, phi, EMPTY_ORACLE, T, cfg)
+    scanned = len(calls)
+    assert scanned > cfg.candidates
+    again = djg_realizes(0, phi, EMPTY_ORACLE, T, cfg)
+    assert again.to_dict() == first.to_dict()
+    assert calls[scanned:] == [(0, phi)]
+
+
 def test_m_f_member():
     f = Oracle.from_dict("f", {2: 5})
     # FST of the graph pair (2, 5) is 2
@@ -533,6 +567,26 @@ def test_not_not_lift_rejects_a_non_realizer():
     T = OraclePoset((f0,))
     with pytest.raises(RealizabilityError):
         not_not_lift(parse("exists x. x = 1"), T, f0, pair(2, 0), f0)
+
+
+def test_separation_demo_reports_the_top_verdict_when_the_lift_is_refused(monkeypatch):
+    from nucforce import realizability
+
+    def refuse(*args):
+        raise RealizabilityError("lift refused")
+
+    monkeypatch.setattr(realizability, "not_not_lift", refuse)
+    report = separation_demo(candidates=[])
+    section = report["sections"]["iii"]
+    assert section["green"] is False and report["all_green"] is False
+    assert section["lift"] == {"error": "lift refused"}
+    assert section["top_verdict"] == REALIZED
+    # with 5 steps of fuel the top node's realizer runs out, so the
+    # lift's own precondition refuses it
+    monkeypatch.undo()
+    section = separation_demo(Budgets(fuel=5, witness=64, universe=4, candidates=256), [])["sections"]["iii"]
+    assert section["green"] is False and section["top_verdict"] == EXHAUSTED
+    assert section["lift"]["error"].startswith("supplied code ")
 
 
 def test_separation_demo_all_green():
