@@ -8,9 +8,10 @@ order is reproducible across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
+
+from .formula import read_json
 
 MAX_POINTS = 16
 # Up(P) has up to 2^|P| elements and three operation tables of that size
@@ -112,8 +113,7 @@ def poset_violations(elements, leq) -> list[str]:
 
 def load_poset(path: str) -> FinPoset:
     """Read a poset from a JSON file with `elements` and `covers` keys."""
-    with open(path) as fh:
-        return poset_from_json(json.load(fh), path)
+    return poset_from_json(read_json(path, AlgebraError), path)
 
 
 def poset_from_json(data, source: str) -> FinPoset:

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .algebra import AlgebraError, FinPoset, check_poset_size, load_poset, upset_algebra
-from .formula import MAX_NESTING, FormulaError, parse, print_formula, read_numeral
+from .formula import MAX_NESTING, FormulaError, parse, print_formula, read_json, read_numeral
 from .nucleus import NucleusError, enumerate_nuclei, is_dense
 from .translate import TRANSLATIONS
 from .hmodel import (
@@ -227,8 +227,7 @@ def cmd_demo(args) -> int:
                   universe=args.universe, candidates=args.candidate_bound)
     candidates = None
     if args.candidates:
-        with open(args.candidates) as fh:
-            candidates = json.load(fh)
+        candidates = read_json(args.candidates, CliError)
         if not (isinstance(candidates, list) and all(type(c) is int for c in candidates)):
             raise CliError(f"{args.candidates}: candidates must be a JSON list of integer codes")
     report = separation_demo(cfg, candidates)

@@ -14,6 +14,7 @@ quantifies k over the members of frame P above j.  The printer,
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
@@ -416,6 +417,16 @@ def read_numeral(text: str) -> int:
         return int(text)
     except ValueError:
         raise FormulaError(f"numeral of {len(text)} digits is too long") from None
+
+
+def read_json(path: str, error: type[Exception]):
+    """The JSON document in the file at path, refusing with `error` one
+    nested deeper than the decoder recurses."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{path}: JSON nests too deeply to read") from None
 
 
 # -------------------------------------------------------------- printer

@@ -25,7 +25,6 @@ a failure is a genuine bug.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import reduce
@@ -50,6 +49,7 @@ from .formula import (
     neg,
     parse,
     print_formula,
+    read_json,
     universal_closure,
 )
 from .nucleus import (
@@ -622,8 +622,7 @@ def builtin_corpus(name: str, seed: int = 0) -> Corpus:
 
 def load_model(path: str) -> Scene:
     """Read one model file: poset, domain size, atom tables, frame specs."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path, HModelError)
     try:
         poset = data["poset"]
         domain_size = data["domain_size"]

@@ -5,7 +5,9 @@ case split, fixed point, an oracle hook, and a bounded halting test)
 whose values are numerals.  Every term has a Goedel code via Cantor
 pairing, every natural number decodes to a term, and numerals in head
 position apply as the code they denote, so the reduct of an application
-is always available as a number again.
+is always available as a number again.  Reduction is one loop: the
+strict arguments of a combinator wait on an explicit stack, not in
+nested calls, so a deeply nested code runs until its fuel is spent.
 
 One checker runs on the machine: realizability over a poset of oracles
 ordered by extension, where implications and universals quantify over
@@ -23,8 +25,8 @@ candidate bound.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
 from .formula import (
@@ -50,6 +52,7 @@ from .formula import (
     neg,
     num,
     print_formula,
+    read_json,
     subst,
 )
 
@@ -182,13 +185,20 @@ def decode(c: int):
 
 
 def term_str(t) -> str:
-    if isinstance(t, str):
-        return t
-    if t[0] == "num":
-        return str(t[1])
-    if t[0] == "var":
-        return t[1]
-    return f"({term_str(t[1])} {term_str(t[2])})"
+    """Fully parenthesised rendering, built without recursion so that
+    normal forms of any depth print."""
+    out = []
+    stack = [t]  # terms still to print, and the literal text between them
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif u[0] == "app":
+            out.append("(")
+            stack += (")", u[2], " ", u[1])
+        else:  # a numeral or a variable
+            out.append(str(u[1]))
+    return "".join(out)
 
 
 # -------------------------------------------------- bracket abstraction
@@ -279,8 +289,7 @@ class OraclePoset:
 
 
 def load_oracle(path: str) -> Oracle:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path, RealizabilityError)
     if not isinstance(data, dict):
         raise RealizabilityError(f"{path}: an oracle file holds a JSON object")
     # {"label": ..., "table": {...}}, or a bare table that may carry a label
@@ -294,8 +303,7 @@ def load_oracle_poset(path: str) -> OraclePoset:
 
     Declared edges are validated against the actual extension relation.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path, RealizabilityError)
     if not isinstance(data, dict) or not isinstance(data.get("oracles"), list):
         raise RealizabilityError(f"{path}: an oracle poset file needs an 'oracles' list")
     if not all(isinstance(o, dict) and "table" in o for o in data["oracles"]):
@@ -330,78 +338,106 @@ def _rebuild(head, args):
     return head
 
 
+# the leading arguments each strict combinator reduces to numerals
+_STRICT = {"CASE": 1, "PAIR": 2, "FST": 1, "SND": 1, "SUCC": 1, "ORA": 1, "HALT": 3}
+
+# decode is pure and its terms are immutable, so numerals in head
+# position share one bounded memo: the checker applies the same
+# realizer to every input it tries
+_decode_head = lru_cache(maxsize=1024)(decode)
+
+
 def _reduce(t, oracle: Oracle, fuel: list, consulted: set):
     """Leftmost-outermost reduction to a normal form.
 
-    fuel is a single-cell list so budget is shared across nested
-    evaluations.  Raises _Stuck for definite failure and _Exhausted when
-    fuel runs out.
+    One loop over an explicit stack: a strict combinator pushes a frame
+    holding its head, its argument terms, the numerals its strict
+    arguments reduced to so far, and the argument spine around it; each
+    strict argument is then reduced in turn with an empty spine, and its
+    numeral is handed back to the frame.  Code depth costs list entries,
+    not Python frames.
+
+    fuel is a single-cell list so budget is shared with the halting
+    test.  It is checked at the top of every iteration and charged one
+    unit per combinator step and per head-numeral decode.  Raises
+    _Stuck for definite failure and _Exhausted when fuel runs out.
     """
     args = []
+    frames = []  # (head, argument terms, numerals so far, outer spine)
     while True:
         if fuel[0] <= 0:
             raise _Exhausted()
-        if isinstance(t, tuple) and t[0] == "app":
+        if type(t) is str:
+            arity = ARITY[t]
+            if len(args) < arity:
+                nf = _rebuild(t, args)
+                if frames:
+                    raise _Stuck(f"expected a numeral, got {term_str(nf)}")
+                return nf
+            fuel[0] -= 1
+            if t == "K":
+                t = args.pop()
+                args.pop()
+            elif t == "S":
+                x = args.pop()
+                y = args.pop()
+                z = args.pop()
+                t = ("app", ("app", x, z), ("app", y, z))
+            elif t == "FIX":
+                f = args.pop()
+                t = ("app", ("app", f, ("app", "FIX", f)), args.pop())
+            else:
+                a = args[-arity:]
+                a.reverse()
+                del args[-arity:]
+                frames.append((t, a, [], args))
+                args = []
+                t = a[0]
+            continue
+        tag = t[0]
+        if tag == "app":
             args.append(t[2])
             t = t[1]
             continue
-        if isinstance(t, tuple) and t[0] == "num":
-            if not args:
-                return t
+        if tag != "num":
+            raise _Stuck(f"free variable {t[1]} in machine term")
+        if args:
             # a numeral in head position applies as the code it denotes;
             # code 0 decodes to itself, so applying it provably diverges
             fuel[0] -= 1
-            decoded = decode(t[1])
+            decoded = _decode_head(t[1])
             if decoded == t:
                 raise _Stuck("application of the zero code diverges")
             t = decoded
             continue
-        if isinstance(t, tuple) and t[0] == "var":
-            raise _Stuck(f"free variable {t[1]} in machine term")
-        arity = ARITY[t]
-        if len(args) < arity:
-            return _rebuild(t, args)
-        a = [args.pop() for _ in range(arity)]
-        fuel[0] -= 1
-        if t == "K":
-            t = a[0]
-        elif t == "S":
-            t = ("app", ("app", a[0], a[2]), ("app", a[1], a[2]))
-        elif t == "FIX":
-            t = ("app", ("app", a[0], ("app", "FIX", a[0])), a[1])
-        elif t == "CASE":
-            n = _eval_num(a[0], oracle, fuel, consulted)
+        if not frames:
+            return t
+        head, a, vals, outer = frames[-1]
+        vals.append(t[1])
+        if len(vals) < _STRICT[head]:
+            t = a[len(vals)]
+            continue
+        frames.pop()
+        args = outer
+        n = vals[0]
+        if head == "CASE":
             t = a[1] if n == 0 else ("app", a[2], ("num", n - 1))
-        elif t == "PAIR":
-            t = ("num", pair(_eval_num(a[0], oracle, fuel, consulted),
-                             _eval_num(a[1], oracle, fuel, consulted)))
-        elif t == "FST":
-            t = ("num", unpair(_eval_num(a[0], oracle, fuel, consulted))[0])
-        elif t == "SND":
-            t = ("num", unpair(_eval_num(a[0], oracle, fuel, consulted))[1])
-        elif t == "SUCC":
-            t = ("num", _eval_num(a[0], oracle, fuel, consulted) + 1)
-        elif t == "ORA":
-            n = _eval_num(a[0], oracle, fuel, consulted)
+        elif head == "PAIR":
+            t = ("num", pair(n, vals[1]))
+        elif head == "FST":
+            t = ("num", unpair(n)[0])
+        elif head == "SND":
+            t = ("num", unpair(n)[1])
+        elif head == "SUCC":
+            t = ("num", n + 1)
+        elif head == "ORA":
             consulted.add(n)
             v = oracle.get(n)
             if v is None:
                 raise _Stuck(f"oracle {oracle.label} undefined at {n}")
             t = ("num", v)
-        elif t == "HALT":
-            e = _eval_num(a[0], oracle, fuel, consulted)
-            x = _eval_num(a[1], oracle, fuel, consulted)
-            w = _eval_num(a[2], oracle, fuel, consulted)
-            t = ("num", 1 if step_halts(e, x, w, fuel) else 0)
-        else:  # pragma: no cover - ARITY covers every leaf
-            raise _Stuck(f"unknown head {t!r}")
-
-
-def _eval_num(t, oracle, fuel, consulted) -> int:
-    nf = _reduce(t, oracle, fuel, consulted)
-    if isinstance(nf, tuple) and nf[0] == "num":
-        return nf[1]
-    raise _Stuck(f"expected a numeral, got {term_str(nf)}")
+        else:  # HALT
+            t = ("num", 1 if step_halts(n, vals[1], vals[2], fuel) else 0)
 
 
 _HALT_CACHE: dict = {}

@@ -19,6 +19,7 @@ from nucforce.realizability import app, diverging_code, encode, numt
 from nucforce.translate import TRANSLATIONS
 
 from test_formula import NESTED
+from test_realizability import FIX_IDENTITY
 
 
 def run(capsys, *argv):
@@ -136,6 +137,13 @@ def _oracle_file(tmp_path):
     return str(path)
 
 
+def _deep_json(tmp_path, name):
+    """A file of 100,000 nested brackets, deeper than the JSON decoder recurses."""
+    path = tmp_path / name
+    path.write_text("[" * 100000 + "]" * 100000)
+    return str(path)
+
+
 def test_realize_verdict_exit_codes(capsys, tmp_path):
     oracle = _oracle_file(tmp_path)
     code, out, _ = run(capsys, "realize", "--code", "0", "--formula", "0 = 0",
@@ -189,6 +197,13 @@ def test_code_terms_at_the_nesting_cap_realize(capsys, tmp_path, shape):
     code, out, err = run(capsys, "realize", "--code", NESTED_CODES[shape](MAX_NESTING + 1),
                          "--formula", "0 = 0", "--oracle", oracle)
     assert code == 2 and out == "" and f"nests deeper than {MAX_NESTING} levels" in err
+
+
+def test_realize_runs_a_deeply_nested_code(capsys, tmp_path):
+    code, out, err = run(capsys, "realize", "--code", f"K ({FIX_IDENTITY} 1000)", "--formula", "forall x. 0 = 0",
+                         "--universe", "1", "--fuel", "200000", "--oracle", _oracle_file(tmp_path))
+    assert code == 0 and json.loads(out)["verdict"] == "realized"
+    assert err.startswith("realized")
 
 
 def test_realize_with_frame(capsys, tmp_path):
@@ -266,6 +281,13 @@ MALFORMED_INPUTS = {
     "model-poset-over-cap": lambda tmp: ["check", "--suite", "loplem", "--corpus", _write(tmp, "m.json", {
         "poset": {"elements": [f"q{i}" for i in range(1000)], "covers": [[f"q{i}", f"q{i + 1}"] for i in range(999)]},
         "domain_size": 1, "atoms": {}})],
+    "poset-nested-100000-deep": lambda tmp: ["nuclei", "--poset", _deep_json(tmp, "p.json")],
+    "model-nested-100000-deep": lambda tmp: ["check", "--suite", "loplem", "--corpus", _deep_json(tmp, "m.json")],
+    "oracle-nested-100000-deep": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                              "--oracle", _deep_json(tmp, "o.json")],
+    "frame-nested-100000-deep": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                             "--oracle", _oracle_file(tmp), "--frame", _deep_json(tmp, "f.json")],
+    "candidates-nested-100000-deep": lambda tmp: ["demo", "separation", "--candidates", _deep_json(tmp, "c.json")],
 }
 
 

@@ -50,6 +50,7 @@ from nucforce.realizability import (
 from nucforce.formula import Sigma, universal_instance
 
 from kleene_reference import VERDICT_OF, kleene_verdict
+from machine_reference import reference_apply
 
 
 # ------------------------------------------------------------- pairing
@@ -90,6 +91,15 @@ def test_code_round_trip_on_random_terms():
     for _ in range(300):
         t = _random_term(rng)
         assert decode(encode(t)) == t
+
+
+def test_term_str_prints_terms_nested_10000_deep():
+    left, right = "K", numt(0)
+    for _ in range(10000):
+        left = app(left, numt(1))
+        right = app("SUCC", right)
+    assert term_str(left) == "(" * 10000 + "K" + " 1)" * 10000
+    assert term_str(right) == "(SUCC " * 10000 + "0" + ")" * 10000
 
 
 def test_decode_is_total():
@@ -203,6 +213,43 @@ def test_fuel_monotonicity(e, n, fuel):
         assert hi.realized and hi.value == lo.value
     if lo.refuted:
         assert hi.refuted
+
+
+# FIX (\s.\x. CASE x 0 (\y. SUCC (s y))): the identity by recursion, whose
+# successor waits on the recursive call, so input n nests n strict arguments
+FIX_IDENTITY = encode(app("FIX", lam("s", lam("x", app("CASE", ("var", "x"), numt(0),
+                                                      lam("y", app("SUCC", app(("var", "s"), ("var", "y")))))))))
+
+
+def test_deeply_nested_strict_arguments_cost_fuel_not_stack():
+    out = apply(FIX_IDENTITY, 1000, EMPTY_ORACLE, 200000)
+    assert out.realized and out.value == 1000 and out.trace["steps"] == 30012
+    # deeper still, the code runs until its fuel is spent
+    assert apply(FIX_IDENTITY, 100000, EMPTY_ORACLE, 200000).verdict == EXHAUSTED
+
+
+MACHINE_TERMS = st.recursive(
+    st.one_of(st.sampled_from(["S", "K", "PAIR", "FST", "SND", "SUCC", "CASE", "FIX", "ORA", "HALT"]),
+              st.builds(numt, st.integers(0, 12))),
+    lambda inner: st.tuples(st.just("app"), inner, inner), max_leaves=8)
+CANONICAL_CODES = [identity_code(), *(halting_code(k) for k in range(4)), mp_realizer(),
+                   mp_realizer(halting_code(1), 0), mp_realizer(diverging_code(), 0), diverging_code(),
+                   induction_realizer(), FIX_IDENTITY, encode("ORA")]
+SMALL_ORACLES = [EMPTY_ORACLE, Oracle.from_dict("f", {0: 3, 1: 1, 2: 5}),
+                 Oracle.from_dict("g", {k: k + 1 for k in range(8)})]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(0, 4095), st.sampled_from(CANONICAL_CODES), MACHINE_TERMS.map(encode)),
+       st.integers(0, 7), st.sampled_from(SMALL_ORACLES), st.integers(1, 2000))
+def test_machine_agrees_with_the_recursive_reference(e, n, f, fuel):
+    """The one-loop machine and the recursive reference reach the same
+    verdict, value and detail, charge the same steps and consult the
+    same oracle points."""
+    out = apply(e, n, f, fuel)
+    got = {"verdict": out.verdict, "value": out.value, "detail": out.detail,
+           "steps": out.trace.get("steps"), "consulted": out.trace["consulted"]}
+    assert got == reference_apply(e, n, f, fuel)
 
 
 def test_replay_is_deterministic():
