@@ -44,7 +44,16 @@ class NumLit(Term):
     value: int
 
     def __repr__(self):
-        return str(self.value)
+        return numeral_text(self.value)
+
+
+def numeral_text(n: int) -> str:
+    """The decimal text of n, or, for a number of more digits than Python
+    converts (4,300 by default), a placeholder naming its bit length."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<numeral of {n.bit_length()} bits>"
 
 
 @dataclass(frozen=True)
@@ -449,7 +458,7 @@ def print_formula(phi: Formula, level: int = 0) -> str:
 
     Levels: 0 implication/quantifier/guard, 1 disjunction, 2 conjunction,
     3 negation, modality and atoms.  Modal output round-trips through
-    `translate.parse_mformula` instead.
+    the modal parser of the test suite instead.
     """
     if isinstance(phi, Bot):
         return "bot"
@@ -588,17 +597,12 @@ def has_abstract(phi: Formula) -> bool:
 
 @dataclass(frozen=True)
 class FormulaClass:
-    kind: str  # "sigma" | "pi" | "pi-or-pi" | "literal" | "imp-free"
-    n: int | None = None
+    kind: str  # "sigma" | "pi" | "pi-or-pi"
+    n: int
 
     def __repr__(self):
-        if self.kind == "sigma":
-            return f"Sigma({self.n})"
-        if self.kind == "pi":
-            return f"Pi({self.n})"
-        if self.kind == "pi-or-pi":
-            return f"PiOrPi({self.n})"
-        return {"literal": "LiteralClassR", "imp-free": "ImplicationFree"}[self.kind]
+        name = {"sigma": "Sigma", "pi": "Pi", "pi-or-pi": "PiOrPi"}[self.kind]
+        return f"{name}({self.n})"
 
 
 def Sigma(n: int) -> FormulaClass:
@@ -611,10 +615,6 @@ def Pi(n: int) -> FormulaClass:
 
 def PiOrPi(n: int) -> FormulaClass:
     return FormulaClass("pi-or-pi", n)
-
-
-LITERAL_CLASS_R = FormulaClass("literal")
-IMPLICATION_FREE = FormulaClass("imp-free")
 
 
 def is_quantifier_free(phi: Formula) -> bool:
@@ -643,29 +643,6 @@ def in_pi(phi: Formula, n: int) -> bool:
     return in_sigma(phi, n - 1)
 
 
-def is_implication_free(phi: Formula) -> bool:
-    if isinstance(phi, Imp):
-        return False
-    if isinstance(phi, (And, Or)):
-        return is_implication_free(phi.left) and is_implication_free(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return is_implication_free(phi.body)
-    return True
-
-
-def in_literal_class(phi: Formula) -> bool:
-    """The fragment generated by atoms, negated atoms, /\\, and forall."""
-    if isinstance(phi, (Atom, Eq)):
-        return True
-    if isinstance(phi, Imp) and phi.right == BOT:
-        return isinstance(phi.left, (Atom, Eq))
-    if isinstance(phi, And):
-        return in_literal_class(phi.left) and in_literal_class(phi.right)
-    if isinstance(phi, Forall):
-        return in_literal_class(phi.body)
-    return False
-
-
 def in_class(phi: Formula, cls: FormulaClass) -> bool:
     if cls.kind == "sigma":
         return in_sigma(phi, cls.n)
@@ -673,41 +650,7 @@ def in_class(phi: Formula, cls: FormulaClass) -> bool:
         return in_pi(phi, cls.n)
     if cls.kind == "pi-or-pi":
         return isinstance(phi, Or) and in_pi(phi.left, cls.n) and in_pi(phi.right, cls.n)
-    if cls.kind == "literal":
-        return in_literal_class(phi)
-    if cls.kind == "imp-free":
-        return is_implication_free(phi)
     raise FormulaError(f"unknown class kind {cls.kind!r}")
-
-
-MAX_CLASS_LEVEL = 16  # quantifier alternations beyond this are not tagged
-
-
-def classify(phi: Formula) -> set[FormulaClass]:
-    """The minimal hierarchy tags plus the structural classes.
-
-    Sigma and Pi are cumulative, so only the least levels are reported;
-    a quantifier-free formula gets both Sigma(0) and Pi(0).
-    """
-    out: set[FormulaClass] = set()
-    ms = next((n for n in range(MAX_CLASS_LEVEL + 1) if in_sigma(phi, n)), None)
-    mp = next((n for n in range(MAX_CLASS_LEVEL + 1) if in_pi(phi, n)), None)
-    if ms is not None and (mp is None or ms <= mp):
-        out.add(Sigma(ms))
-    if mp is not None and (ms is None or mp <= ms):
-        out.add(Pi(mp))
-    if isinstance(phi, Or):
-        both = next(
-            (n for n in range(MAX_CLASS_LEVEL + 1) if in_pi(phi.left, n) and in_pi(phi.right, n)),
-            None,
-        )
-        if both is not None:
-            out.add(PiOrPi(both))
-    if in_literal_class(phi):
-        out.add(LITERAL_CLASS_R)
-    if is_implication_free(phi):
-        out.add(IMPLICATION_FREE)
-    return out
 
 
 # ------------------------------------------------------------- schemes

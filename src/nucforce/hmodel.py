@@ -43,13 +43,17 @@ from .formula import (
     Imp,
     Mod,
     Or,
+    Pi,
+    PiOrPi,
     STEP_HALT,
+    Sigma,
     Var,
     free_vars,
     neg,
     parse,
     print_formula,
     read_json,
+    scheme,
     universal_closure,
 )
 from .nucleus import (
@@ -760,10 +764,6 @@ IQC_AXIOMS = [parse(s) for s in [
 ]]
 
 
-def _dne(phi: Formula) -> Formula:
-    return universal_closure(Imp(neg(neg(phi)), phi))
-
-
 # (premises, conclusion, their conjunction) for the connective rules: a
 # rule's environments range over the free variables of all its formulas,
 # which are those of the conjunction
@@ -787,7 +787,8 @@ CLOSED_SHAPES = [(phi, universal_closure(phi)) for phi in GENERAL_SHAPES if free
 # (phi, ~phi, ~~phi) for the mixed shapes, and what emn and mndneg add
 NEGATIONS = [(phi, neg(phi), neg(neg(phi))) for phi in MIXED_SHAPES]
 EMN_SHAPES = [(phi, np, nnp, Imp(nnp, phi)) for phi, np, nnp in NEGATIONS]
-MNDNEG_SHAPES = [(phi, np, nnp, universal_closure(Or(phi, np)), _dne(phi)) for phi, np, nnp in NEGATIONS]
+MNDNEG_SHAPES = [(phi, np, nnp, scheme(Sigma(2), "LEM", phi), scheme(Sigma(2), "DNE", phi))
+                 for phi, np, nnp in NEGATIONS]
 
 # (phi, psi, and the compounds whose transfer trp-closure bounds)
 TRP_ATOM = parse("R(x)")
@@ -799,13 +800,14 @@ TRP_SHAPES = [(phi, psi, And(phi, psi), Or(phi, psi), Exists("x", phi), Imp(phi,
                   (parse("exists x. R(x)"), parse("forall x. Q(x)")),
               ]]
 
-DNE_ATOM = _dne(parse("R(x)"))
-DNE_SHAPES = [(phi, _dne(phi)) for phi in MIXED_SHAPES]
+DNE_ATOM = scheme(Sigma(0), "DNE", parse("R(x)"))
+DNE_SHAPES = [(phi, scheme(Sigma(2), "DNE", phi)) for phi in MIXED_SHAPES]
 
-# (class, phi, its DNE instance, its LEM instance) for sufcon
-SUFCON_INSTANCES = [(label, phi, _dne(phi), universal_closure(Or(phi, neg(phi))))
-                    for label, shapes in [("Sigma1", SIGMA1_SHAPES), ("Pi1", PI1_SHAPES[:2]),
-                                          ("PiOrPi1", PIORPI1_SHAPES), ("Sigma2", SIGMA2_SHAPES[:1])]
+# (class label, phi, its DNE instance, its LEM instance) for sufcon
+SUFCON_INSTANCES = [(label, phi, scheme(cls, "DNE", phi), scheme(cls, "LEM", phi))
+                    for label, cls, shapes in [("Sigma1", Sigma(1), SIGMA1_SHAPES), ("Pi1", Pi(1), PI1_SHAPES[:2]),
+                                               ("PiOrPi1", PiOrPi(1), PIORPI1_SHAPES),
+                                               ("Sigma2", Sigma(2), SIGMA2_SHAPES[:1])]
                     for phi in shapes]
 
 

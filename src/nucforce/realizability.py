@@ -51,6 +51,7 @@ from .formula import (
     has_abstract,
     neg,
     num,
+    numeral_text,
     print_formula,
     read_json,
     subst,
@@ -197,7 +198,7 @@ def term_str(t) -> str:
             out.append("(")
             stack += (")", u[2], " ", u[1])
         else:  # a numeral or a variable
-            out.append(str(u[1]))
+            out.append(u[1] if u[0] == "var" else numeral_text(u[1]))
     return "".join(out)
 
 
@@ -434,7 +435,7 @@ def _reduce(t, oracle: Oracle, fuel: list, consulted: set):
             consulted.add(n)
             v = oracle.get(n)
             if v is None:
-                raise _Stuck(f"oracle {oracle.label} undefined at {n}")
+                raise _Stuck(f"oracle {oracle.label} undefined at {numeral_text(n)}")
             t = ("num", v)
         else:  # HALT
             t = ("num", 1 if step_halts(n, vals[1], vals[2], fuel) else 0)
@@ -620,10 +621,10 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
         n, m = unpair(e)
         st1, d1 = _status(n, phi.left, f, T, cfg)
         if st1 == "F":
-            return "F", f"left component {n}: {d1}"
+            return "F", f"left component {numeral_text(n)}: {d1}"
         st2, d2 = _status(m, phi.right, f, T, cfg)
         if st2 == "F":
-            return "F", f"right component {m}: {d2}"
+            return "F", f"right component {numeral_text(m)}: {d2}"
         return ("E", "budget") if "E" in (st1, st2) else ("R", "")
     if isinstance(phi, Or):
         tag, n = unpair(e)
@@ -631,12 +632,12 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
             return _status(n, phi.left, f, T, cfg)
         if tag == 1:
             return _status(n, phi.right, f, T, cfg)
-        return "F", f"disjunction tag {tag} is neither 0 nor 1"
+        return "F", f"disjunction tag {numeral_text(tag)} is neither 0 nor 1"
     if isinstance(phi, Exists):
         w, r = unpair(e)
         st, d = _status(r, subst(phi.body, {phi.var: num(w)}), f, T, cfg)
         if st == "F":
-            return "F", f"witness {w}: {d}"
+            return "F", f"witness {numeral_text(w)}: {d}"
         return st, d
     if isinstance(phi, Forall):
         pending = False
@@ -781,22 +782,6 @@ def preal_standard(e: int, phi: Formula, f: Oracle, S: OraclePoset,
     return out
 
 
-def m_f_member(n: int, p: set, f: Oracle, cfg: Budgets = DEFAULT_BUDGETS) -> tuple[bool, bool]:
-    """Whether code n maps some graph fact of f into the finite set p.
-
-    Returns (member, exhausted); membership holds when n applied to the
-    pair of a point and its value lands in p.
-    """
-    exhausted = False
-    for m in f.domain:
-        out = apply(n, pair(m, f.get(m)), EMPTY_ORACLE, cfg.fuel)
-        if out.realized and out.value in p:
-            return True, exhausted
-        if out.verdict == EXHAUSTED:
-            exhausted = True
-    return False, exhausted
-
-
 # ------------------------------------------------ canonical realizers
 
 def identity_code() -> int:
@@ -866,7 +851,7 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
         raise RealizabilityError("both the target and the extension must belong to the poset")
     st, d = _status(r, phi, g, T, cfg)
     if st != "R":
-        raise RealizabilityError(f"supplied code {r} does not realize the formula at {g.label}: {d}")
+        raise RealizabilityError(f"supplied code {numeral_text(r)} does not realize the formula at {g.label}: {d}")
     # Cofinality: above every extension of the target there is a node
     # carrying a realizer of phi.  The supplied (g, r) covers the nodes g
     # extends; elsewhere the candidate scan must find one.

@@ -4,12 +4,11 @@ The target language is the first-order AST of `formula` with its two
 modal nodes: Mod(j, phi) applies the nucleus named j to the truth value
 of phi, and GuardAll(k, P, j, phi) quantifies k over the members of the
 frame P that lie above j.  `formula.print_formula` and `formula.subst`
-handle both; this module adds the parser for the modal surface syntax.
-Three translations are provided: the plain nucleus translation (atoms,
-disjunctions, and existentials get Mod), the forcing translation
-(implications and universals additionally guard over the frame), and
-the Kuroda-style variant (atoms untouched, the modality lands on
-consequents and under universals).
+handle both.  Three translations are provided: the plain nucleus
+translation (atoms, disjunctions, and existentials get Mod), the
+forcing translation (implications and universals additionally guard
+over the frame), and the Kuroda-style variant (atoms untouched, the
+modality lands on consequents and under universals).
 
 In every output each node has at most one free nucleus variable: j at
 the root, and the guard's k throughout a GuardAll body.
@@ -32,7 +31,6 @@ from .formula import (
     Imp,
     Mod,
     Or,
-    Parser,
 )
 
 
@@ -119,37 +117,3 @@ TRANSLATIONS = {
     "kuroda": kuroda_forcing_translate,
     "kuroda-wrapped": kuroda_wrapped_translate,
 }
-
-
-# --------------------------------------------------------------- parsing
-
-class MParser(Parser):
-    """Parser for the modal surface syntax; round-trips print_formula."""
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "[":
-            self.take("[")
-            nvar = self.variable()
-            self.take("]")
-            return Mod(nvar, self.nested(self.unary))
-        if tok == "all":
-            self.take("all")
-            kvar = self.variable()
-            self.take(">=")
-            above = self.variable()
-            self.take("in")
-            frame = self.frame_name()
-            self.take(".")
-            return GuardAll(kvar, frame, above, self.nested(self.formula))
-        return super().unary()
-
-    def frame_name(self) -> str:
-        tok = self.peek()
-        if tok is None or not tok[0].isalpha():
-            self.fail(f"expected a frame name, found {tok!r}")
-        return self.take()
-
-
-def parse_mformula(text: str) -> Formula:
-    return MParser(text).parse()

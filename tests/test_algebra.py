@@ -15,11 +15,10 @@ from nucforce.algebra import (
     load_poset,
     neg,
     poset_violations,
-    three_chain,
-    two_element,
     upset_algebra,
-    validate_heyting,
 )
+
+from heyting_reference import validate_heyting
 
 
 def test_chain_poset_order():
@@ -96,7 +95,7 @@ def test_load_poset_rejects_missing_keys(tmp_path):
 
 
 def test_two_element_tables():
-    h = two_element()
+    h = upset_algebra(FinPoset.chain(1))
     assert h.size == 2
     assert h.bottom == 0 and h.top == 1
     # truth tables of classical logic
@@ -107,7 +106,7 @@ def test_two_element_tables():
 
 
 def test_three_chain_tables():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     assert h.size == 3
     # 0 < 1 < 2; meets and joins are min and max
     for a, b in product(h.carrier, h.carrier):
@@ -154,7 +153,7 @@ def test_residuation_on_small_algebras():
 
 
 def test_validate_heyting_catches_broken_table():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     bad_imp = tuple(tuple(h.bottom for _ in h.carrier) for _ in h.carrier)
     broken = HeytingAlg(h.names, h.meet, h.join, bad_imp)
     assert validate_heyting(broken) is not None

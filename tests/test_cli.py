@@ -206,6 +206,20 @@ def test_realize_runs_a_deeply_nested_code(capsys, tmp_path):
     assert err.startswith("realized")
 
 
+def test_realize_refutes_with_a_witness_too_long_to_print(capsys, tmp_path):
+    # 15 nested PAIRs build a witness of 36,931 bits, more digits than
+    # Python converts to text; the detail names its bit length instead
+    term = "9"
+    for _ in range(15):
+        term = f"(PAIR {term} 0)"
+    code, out, err = run(capsys, "realize", "--code", f"K {term}", "--formula", "forall x. exists y. y = 1",
+                         "--universe", "1", "--oracle", _oracle_file(tmp_path))
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "refuted"
+    assert "witness <numeral of 36931 bits>: atom <numeral of 36931 bits> = 1 is false" in report["detail"]
+    assert err.startswith("refuted") and "Traceback" not in err
+
+
 def test_realize_with_frame(capsys, tmp_path):
     oracle = _oracle_file(tmp_path)
     frame = tmp_path / "frame.json"

@@ -6,8 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from nucforce.algebra import FinPoset, three_chain, upset_algebra
-from nucforce.formula import Eq, Mod, Var, Zero, parse
+from nucforce.algebra import FinPoset, upset_algebra
+from nucforce.formula import And, Atom, BOT, Eq, Exists, Forall, Imp, Mod, Or, Var, Zero, parse
 from nucforce.nucleus import (
     LopFrame,
     double_negation,
@@ -16,6 +16,8 @@ from nucforce.nucleus import (
     top_nucleus,
 )
 from nucforce.hmodel import (
+    IMPFREE_SHAPES,
+    LITERAL_SHAPES,
     HModel,
     HModelError,
     SceneEval,
@@ -35,7 +37,7 @@ from nucforce.translate import TRANSLATIONS
 
 
 def _two_valued_model():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     atom_val = {
         "R": {(0,): 0, (1,): 2},
         "Q": {(0,): 1, (1,): 2},
@@ -44,7 +46,7 @@ def _two_valued_model():
 
 
 def test_model_validation():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     with pytest.raises(HModelError):
         HModel(h, 0, {}, ())
     with pytest.raises(HModelError):
@@ -320,6 +322,37 @@ def test_failing_suites_record_the_first_twenty_witnesses(monkeypatch):
         ("item", 1), ("j", [0, 1]), ("k", [1, 1]),
     ]
     assert len(report.failures) == 20 and report.checks == checks["trp-closure"]
+
+
+def _literal(phi) -> bool:
+    """The literal fragment: atoms and negated atoms under /\\ and forall."""
+    if isinstance(phi, (Atom, Eq)):
+        return True
+    if isinstance(phi, Imp) and phi.right == BOT:
+        return isinstance(phi.left, (Atom, Eq))
+    if isinstance(phi, And):
+        return _literal(phi.left) and _literal(phi.right)
+    return isinstance(phi, Forall) and _literal(phi.body)
+
+
+def _implication_free(phi) -> bool:
+    if isinstance(phi, (And, Or)):
+        return _implication_free(phi.left) and _implication_free(phi.right)
+    if isinstance(phi, (Forall, Exists)):
+        return _implication_free(phi.body)
+    return not isinstance(phi, Imp)
+
+
+def test_literal_shapes_lie_in_the_literal_fragment():
+    assert all(_literal(phi) for phi in LITERAL_SHAPES)
+    for text in ("R(x) \\/ Q(x)", "exists x. R(x)", "~(R(x) /\\ Q(x))", "~~R(x)"):
+        assert not _literal(parse(text))
+
+
+def test_impfree_shapes_are_implication_free():
+    assert all(_implication_free(phi) for phi in IMPFREE_SHAPES)
+    for text in ("~R(x)", "exists x. (R(x) -> Q(x))", "bot -> R(x)"):
+        assert not _implication_free(parse(text))
 
 
 def test_search_targets_registry():

@@ -1,20 +1,28 @@
 """Every definition and import in the package has a caller.
 
 A top-level function, class or assignment of a `nucforce` module counts
-as used when its own module reads it outside its own definition, or when
-another `nucforce` module (the package `__init__` included) imports it.
-An import counts as used when its module reads the name it binds.  The
-check reads the source with `ast`; nothing is imported or run.
+as used when its own module reads it outside its own definition, when
+another `nucforce` module imports it, or when one of the two external
+contracts imports it: the acceptance tests and the benchmark workloads.
+A re-export from the package `__init__` is not a use.  An import counts
+as used when its module reads the name it binds.  The check reads the
+source with `ast`; nothing is imported or run.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nucforce"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nucforce"
+CONTRACTS = (ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench" / "workloads.py")
 
 
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _contracts() -> list[ast.Module]:
+    return [ast.parse(path.read_text(), str(path)) for path in CONTRACTS]
 
 
 def _reads(node: ast.AST) -> set[str]:
@@ -36,18 +44,26 @@ def _imports(tree: ast.Module) -> list[ast.ImportFrom | ast.Import]:
             and not (isinstance(n, ast.ImportFrom) and n.module == "__future__")]
 
 
-def _imported_from_package(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
-    """(module, name) for every `from .module import name` in the package."""
+def _imported(modules: dict[str, ast.Module], contracts: list[ast.Module]) -> set[tuple[str, str]]:
+    """(module, name) for every `from .module import name` in a package
+    module other than `__init__`, and every `from nucforce.module import
+    name` in a contract."""
     out = set()
-    for tree in modules.values():
+    for mod, tree in modules.items():
+        if mod == "__init__":
+            continue
         for node in _imports(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 out |= {(node.module, alias.name) for alias in node.names}
+    for tree in contracts:
+        for node in _imports(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("nucforce."):
+                out |= {(node.module.removeprefix("nucforce."), alias.name) for alias in node.names}
     return out
 
 
-def unused_definitions(modules: dict[str, ast.Module]) -> list[str]:
-    imported = _imported_from_package(modules)
+def unused_definitions(modules: dict[str, ast.Module], contracts: list[ast.Module]) -> list[str]:
+    imported = _imported(modules, contracts)
     out = []
     for mod, tree in modules.items():
         if mod == "__init__":
@@ -75,7 +91,7 @@ def unused_imports(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_top_level_definition_has_a_caller():
-    assert unused_definitions(_modules()) == []
+    assert unused_definitions(_modules(), _contracts()) == []
 
 
 def test_every_import_is_used():
@@ -84,12 +100,16 @@ def test_every_import_is_used():
 
 def test_the_check_sees_a_dead_definition_and_an_unused_import():
     modules = {
-        "__init__": ast.parse("from .a import exported"),
+        "__init__": ast.parse("from .a import reexported"),
         "a": ast.parse("import json\nfrom .b import helper as h\n"
                        "LIMIT = 3\n"
                        "def exported():\n    return LIMIT\n"
+                       "def reexported():\n    pass\n"
                        "def orphan():\n    return orphan()\n"),
         "b": ast.parse("def helper():\n    pass\n"),
     }
-    assert unused_definitions(modules) == ["a.orphan"]
+    contracts = [ast.parse("from nucforce.a import exported")]
+    # the contract's import keeps `exported`; the `__init__` re-export does not keep `reexported`
+    assert unused_definitions(modules, contracts) == ["a.reexported", "a.orphan"]
+    assert unused_definitions(modules, []) == ["a.exported", "a.reexported", "a.orphan"]
     assert unused_imports(modules) == ["a: json", "a: h"]

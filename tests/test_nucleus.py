@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from nucforce.algebra import FinPoset, three_chain, two_element, upset_algebra
+from nucforce.algebra import FinPoset, upset_algebra
 from nucforce.hmodel import all_posets
 from nucforce.nucleus import (
     LopFrame,
@@ -106,13 +106,13 @@ def test_upset_algebras_have_one_nucleus_per_subset_of_points():
 
 
 def test_nucleus_constructor_rejects_non_nucleus():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     with pytest.raises(NucleusError):
         Nucleus(h, (0, 0, 2))  # not inflationary at 1
 
 
 def test_is_nucleus_witness_messages():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     ok, why = is_nucleus(h, (0, 0, 2))
     assert not ok and "inflationary" in why
     ok, why = is_nucleus(h, h.imp[1])  # open:1 table (0,2,2) is fine
@@ -120,7 +120,7 @@ def test_is_nucleus_witness_messages():
 
 
 def test_named_nuclei_on_three_chain():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     assert identity_nucleus(h).table == (0, 1, 2)
     assert top_nucleus(h).table == (2, 2, 2)
     assert closed_nucleus(h, 1).table == (1, 1, 2)
@@ -129,12 +129,12 @@ def test_named_nuclei_on_three_chain():
 
 
 def test_double_negation_is_identity_on_boolean_algebra():
-    for h in (two_element(), upset_algebra(FinPoset.antichain(2))):
+    for h in (upset_algebra(FinPoset.chain(1)), upset_algebra(FinPoset.antichain(2))):
         assert double_negation(h).table == identity_nucleus(h).table
 
 
 def test_density():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     assert is_dense(identity_nucleus(h))
     assert is_dense(double_negation(h))
     assert not is_dense(top_nucleus(h))
@@ -152,7 +152,7 @@ def test_dense_nuclei_sit_below_double_negation():
 
 
 def test_pointwise_order_extremes():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     bot_j = identity_nucleus(h)
     top_j = top_nucleus(h)
     for j in enumerate_nuclei(h):
@@ -161,17 +161,17 @@ def test_pointwise_order_extremes():
 
 
 def test_frame_rejects_duplicates_and_foreign_members():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     jid = identity_nucleus(h)
     with pytest.raises(NucleusError):
         LopFrame(h, (jid, Nucleus(h, jid.table)))
-    other = two_element()
+    other = upset_algebra(FinPoset.chain(1))
     with pytest.raises(NucleusError):
         LopFrame(h, (identity_nucleus(other),))
 
 
 def test_frame_up_filters_by_pointwise_order():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     inventory = enumerate_nuclei(h)
     frame = LopFrame(h, tuple(inventory))
     jid = identity_nucleus(h)
@@ -181,7 +181,7 @@ def test_frame_up_filters_by_pointwise_order():
 
 
 def test_named_nucleus_specs():
-    h = three_chain()
+    h = upset_algebra(FinPoset.chain(2))
     assert named_nucleus(h, "id").table == (0, 1, 2)
     assert named_nucleus(h, "notnot").table == (0, 2, 2)
     assert named_nucleus(h, "top").table == (2, 2, 2)

@@ -35,7 +35,6 @@ from nucforce.realizability import (
     lam,
     load_oracle,
     load_oracle_poset,
-    m_f_member,
     mp_realizer,
     not_not_lift,
     numt,
@@ -569,15 +568,6 @@ def test_repeated_check_on_a_frame_scans_no_antecedent_again(monkeypatch):
     again = djg_realizes(0, phi, EMPTY_ORACLE, T, cfg)
     assert again.to_dict() == first.to_dict()
     assert calls[scanned:] == [(0, phi)]
-
-
-def test_m_f_member():
-    f = Oracle.from_dict("f", {2: 5})
-    # FST of the graph pair (2, 5) is 2
-    member, _ = m_f_member(encode("FST"), {2}, f)
-    assert member
-    member, _ = m_f_member(encode("FST"), {9}, f)
-    assert not member
 
 
 # ------------------------------------------------------------- the demo

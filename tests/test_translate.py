@@ -13,8 +13,9 @@ from nucforce.translate import (
     gg_translate,
     kuroda_forcing_translate,
     kuroda_wrapped_translate,
-    parse_mformula,
 )
+
+from modal_parser_reference import parse_mformula
 
 GG_GOLDENS = [
     ("R(x)", "[j]R(x)"),
