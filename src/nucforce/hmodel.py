@@ -8,8 +8,8 @@ the current nucleus.  `eval_m` is the plain recursive definition, one
 nucleus at a time.  The modal language extends first-order logic, so
 `eval_m` with nothing bound is the plain semantics too (`eval_formula`).
 `SceneEval` evaluates the output of each translation at every nucleus of
-a basis at once, one memoized vector per node, and is what the suites
-and the countermodel search read.
+a basis at once, one memoized table per compiled node over all of its
+environments, and is what the suites and the countermodel search read.
 
 Each suite checks one property family.  `run_suite` is the one walk over
 a generated corpus of models: it keeps the scenes the suite's filter
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from math import comb
 
 from .algebra import FinPoset, HeytingAlg, poset_from_json, upset_algebra
 from .formula import (
@@ -189,10 +190,96 @@ def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind:
 
 SCENE_NUCLEI = 16  # suites that range over a scene's nuclei take this many
 
+# Bounds of the process-wide caches of compiled translations, which hold
+# no model, basis or budget; all suites and searches on builtin:default
+# compile 181 roots from 390 distinct nodes
+COMPILE_CACHE_SIZE = 1024
+NODE_CACHE_SIZE = 4096
+
+
+class _Node:
+    """One distinct node of a translated formula, interned by `_node`.
+
+    `kind` is the formula class (Atom for every leaf, which `arg` then
+    holds; `arg` is the bound variable of a quantifier and the frame
+    variable of a guard).  `kids` are interned nodes, and `fv` the node's
+    sorted free first-order variables.  Nucleus variable names are
+    dropped: each node has one free nucleus variable, the current one."""
+
+    __slots__ = ("kind", "arg", "kids", "fv")
+
+    def __init__(self, kind: type, arg, kids: tuple, fv: tuple[str, ...]):
+        self.kind, self.arg, self.kids, self.fv = kind, arg, kids, fv
+
+
+@lru_cache(maxsize=NODE_CACHE_SIZE)
+def _node(kind: type, arg, *kids: _Node) -> _Node:
+    """The interned node: equal arguments give the same object while it is
+    cached.  Children compare by identity, so a child evicted and interned
+    again makes a new parent, never a wrong one."""
+    if kind is Atom:
+        fv = tuple(sorted(free_vars(arg)))
+    elif kind is Forall or kind is Exists:
+        fv = tuple(v for v in kids[0].fv if v != arg)
+    else:
+        fv = tuple(sorted({v for kid in kids for v in kid.fv}))
+    return _Node(kind, arg, kids, fv)
+
+
+def _build(t: Formula) -> _Node:
+    kind = type(t)
+    if kind is Mod:
+        return _node(Mod, None, _build(t.body))
+    if kind is GuardAll:
+        return _node(GuardAll, t.frame, _build(t.body))
+    if kind is And or kind is Or or kind is Imp:
+        return _node(kind, None, _build(t.left), _build(t.right))
+    if kind is Forall or kind is Exists:
+        body = _build(t.body)
+        # over a nonempty domain a vacuous quantifier is its body
+        return _node(kind, t.var, body) if t.var in body.fv else body
+    if kind is Atom or kind is Bot or kind is Eq:
+        return _node(Atom, t)
+    raise HModelError(f"cannot evaluate node {t!r}")
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compiled(translate, phi: Formula) -> _Node:
+    """The interned root of `translate(phi)`, keyed by the translation
+    function itself, so a replaced entry of `TRANSLATIONS` is a miss."""
+    return _build(translate(phi))
+
+
+@lru_cache(maxsize=1024)
+def _project(fv: tuple[str, ...], sub: tuple[str, ...], n: int) -> tuple[int, ...]:
+    """For each environment over fv, in product order over an n-point
+    domain, the index of its restriction to sub, a subset of fv."""
+    at = [fv.index(v) for v in sub]
+    out = []
+    for point in product(range(n), repeat=len(fv)):
+        i = 0
+        for p in at:
+            i = i * n + point[p]
+        out.append(i)
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _axis(fv: tuple[str, ...], var: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """For each environment over fv without var, the indices over fv of
+    its n extensions by var, in domain order."""
+    stride = n ** (len(fv) - 1 - fv.index(var))
+    out = []
+    for i in range(n ** (len(fv) - 1)):
+        high, low = divmod(i, stride)
+        base = high * stride * n + low
+        out.append(tuple(base + d * stride for d in range(n)))
+    return tuple(out)
+
 
 class SceneEval:
-    """Memoized evaluator of translated formulas for one model: one
-    vector per node, one entry per nucleus of a basis.
+    """Evaluator of translated formulas for one model: one table per
+    node, one vector per environment, one entry per nucleus of a basis.
 
     `vector(style, phi, env, basis, frame)` evaluates
     `TRANSLATIONS[style](phi)` at every nucleus of the basis at once.
@@ -205,24 +292,34 @@ class SceneEval:
     search use the frame itself, so a basis is no larger than what its
     caller reads.
 
+    A translation is compiled once per process: `_compiled` maps the
+    translation function and phi to a root in an intern table (`_node`)
+    that holds one node per distinct translated subformula, compared by
+    structure (Filliatre & Conchon, "Type-safe modular hash-consing",
+    2006).  Both caches hold no model, basis or budget, and both are
+    bounded LRU caches (`COMPILE_CACHE_SIZE`, `NODE_CACHE_SIZE`).
+
     Every node of a translated formula has at most one free nucleus
     variable, the current nucleus: j at the root, rebound to the guard's
-    k throughout a GuardAll body.  A node's vector therefore depends only
-    on the node, the basis, the frame and the environment.  The memo is
-    keyed by that tuple, as one table per (basis, frame) keyed by (node,
-    env), so a node is looked up once per environment rather than once
-    per nucleus.  This is the bottom-up labelling of explicit-state model
-    checking (Clarke, Emerson & Sistla, TOPLAS 8(2), 1986), with the
-    nuclei as states.  Mod is a per-entry table lookup, And/Or/Imp zip
-    their two child vectors, and Forall/Exists take the entry-wise meet
-    or join over the domain.  Mod and the leaves are not memoized: a Mod
-    vector is one pass over a memoized child and a leaf one `plain`
-    lookup, cheaper than a memo entry on the one- to three-nucleus frame
-    bases of the countermodel search.  A GuardAll body is in k, which ranges over
-    the frame, so the body is evaluated over the frame as basis.  Entry i
-    of the guard is then the meet of the body entries at the frame
-    members above `basis.members[i]`; `ups` lists those indices once per
-    (frame, basis).
+    k throughout a GuardAll body.  A node's value therefore depends only
+    on the node, the basis, the frame and the assignment of its own free
+    variables.  Its table holds one basis vector per assignment, in
+    product order over its sorted free variables (`envs` order), and is
+    built once per (basis, frame): the memo is one dict per (basis,
+    frame), keyed by the node object, so an evicted and re-interned node
+    can only miss.  `node_evals` counts the tables built.  This is the
+    bottom-up labelling of explicit-state model checking (Clarke, Emerson
+    & Sistla, TOPLAS 8(2), 1986), with the nuclei as states.  A leaf
+    reads `plain`, Mod looks each entry up in its nucleus table, And, Or
+    and Imp combine the rows of their children through cached index maps
+    (`_project`), and Forall and Exists fold the body's rows along the
+    bound variable's axis (`_axis`); a quantifier whose body does not
+    mention its variable is compiled to its body.  A GuardAll body is in
+    k, which ranges over the frame, so its table is built over the frame
+    as basis; entry i of a guard row is then the meet of the body entries
+    at the frame members above `basis.members[i]`, which `ups` lists once
+    per (frame, basis).  `vector` returns the row of the root's table for
+    env restricted to the root's free variables; env may bind more.
 
     `trp_val` and `cl_val` return matrices over a pair of bases, built
     from the gg vectors of the two bases, one pass per environment.
@@ -237,10 +334,10 @@ class SceneEval:
         self.h = model.algebra
         self._plain: dict = {}
         self._vec: dict = {}
-        self._translated: dict = {}
         self._ups: dict = {}
         self._envs: dict = {}
         self._nuclei: LopFrame | None = None
+        self.node_evals = 0
 
     # -------------------------------------------------- base evaluators
     @property
@@ -269,14 +366,6 @@ class SceneEval:
             self._plain[key] = got
         return got
 
-    def translated(self, style: str, phi: Formula) -> Formula:
-        """`TRANSLATIONS[style](phi)`, built once per evaluator."""
-        key = (style, phi)
-        t = self._translated.get(key)
-        if t is None:
-            t = self._translated[key] = TRANSLATIONS[style](phi)
-        return t
-
     def rows(self, style: str, shapes, basis: LopFrame, frame: LopFrame | None = None) -> list:
         """(phi, env, vector) for each shape and each of its environments,
         in that order."""
@@ -284,7 +373,14 @@ class SceneEval:
 
     def vector(self, style: str, phi: Formula, env: Env, basis: LopFrame, frame: LopFrame | None = None) -> list[int]:
         """The named translation of phi at every nucleus of the basis."""
-        return self._eval(self.translated(style, phi), env, basis, frame, self._memo(basis, frame))
+        root = _compiled(TRANSLATIONS[style], phi)
+        n, row = self.m.domain_size, 0
+        for var in root.fv:
+            d = env_get(env, var)
+            if not 0 <= d < n:
+                raise HModelError(f"variable {var} is bound to {d}, outside the {n}-point domain")
+            row = row * n + d
+        return self._table(root, basis, frame, self._memo(basis, frame))[row]
 
     def value(self, style: str, phi: Formula, j: Nucleus, env: Env = (), frame: LopFrame | None = None) -> int:
         """The named translation of phi at j: one entry of a vector over
@@ -293,48 +389,54 @@ class SceneEval:
         return self.vector(style, phi, env, basis, frame)[basis.members.index(j)]
 
     def _memo(self, basis: LopFrame, frame: LopFrame | None) -> dict:
-        """The vectors over one basis with one frame bound, by (node, env)."""
+        """The tables over one basis with one frame bound, by node."""
         got = self._vec.get((basis, frame))
         if got is None:
             got = self._vec[(basis, frame)] = {}
         return got
 
-    def _eval(self, node: Formula, env: Env, basis: LopFrame, frame: LopFrame | None, memo: dict) -> list[int]:
-        kind = type(node)
-        if kind is Mod:
-            return [j.table[a] for j, a in zip(basis.members, self._eval(node.body, env, basis, frame, memo))]
-        if kind is Atom or kind is Bot:
-            return [self.plain(node, env)] * len(basis)
-        key = (node, env)
-        got = memo.get(key)
+    def _table(self, node: _Node, basis: LopFrame, frame: LopFrame | None, memo: dict) -> list[list[int]]:
+        got = memo.get(node)
         if got is not None:
             return got
-        h = self.h
-        if kind is And or kind is Or or kind is Imp:
+        self.node_evals += 1
+        kind, kids, h, n = node.kind, node.kids, self.h, self.m.domain_size
+        if kind is Mod:
+            tables = [j.table for j in basis.members]
+            t = [[tab[a] for tab, a in zip(tables, row)] for row in self._table(kids[0], basis, frame, memo)]
+        elif kind is And or kind is Or or kind is Imp:
             op = h.meet if kind is And else h.join if kind is Or else h.imp
-            v = [op[a][b] for a, b in zip(self._eval(node.left, env, basis, frame, memo),
-                                          self._eval(node.right, env, basis, frame, memo))]
-        elif kind is GuardAll:
-            if frame is None:
-                raise HModelError(f"guard over {node.frame} needs a frame")
-            body = self._eval(node.body, env, frame, frame, self._memo(frame, frame))
-            meet, top = h.meet, h.top
-            v = []
-            for up in self.ups(frame, basis):
-                acc = top
-                for x in up:
-                    acc = meet[acc][body[x]]
-                v.append(acc)
+            left, right = (self._table(kid, basis, frame, memo) for kid in kids)
+            t = [[op[a][b] for a, b in zip(left[x], right[y])]
+                 for x, y in zip(_project(node.fv, kids[0].fv, n), _project(node.fv, kids[1].fv, n))]
         elif kind is Forall or kind is Exists:
             op = h.meet if kind is Forall else h.join
-            v = None
-            for d in self.m.domain:
-                col = self._eval(node.body, env_set(env, node.var, d), basis, frame, memo)
-                v = col if v is None else [op[a][b] for a, b in zip(v, col)]
-        else:
-            raise HModelError(f"cannot evaluate node {node!r}")
-        memo[key] = v
-        return v
+            body = self._table(kids[0], basis, frame, memo)
+            t = []
+            for line in _axis(kids[0].fv, node.arg, n):
+                acc = body[line[0]]
+                for x in line[1:]:
+                    acc = [op[a][b] for a, b in zip(acc, body[x])]
+                t.append(acc)
+        elif kind is GuardAll:
+            if frame is None:
+                raise HModelError(f"guard over {node.arg} needs a frame")
+            body = self._table(kids[0], frame, frame, self._memo(frame, frame))
+            meet, top, ups = h.meet, h.top, self.ups(frame, basis)
+            t = []
+            for row in body:
+                vec = []
+                for up in ups:
+                    acc = top
+                    for x in up:
+                        acc = meet[acc][row[x]]
+                    vec.append(acc)
+                t.append(vec)
+        else:  # a leaf
+            width = len(basis)
+            t = [[self.plain(node.arg, env)] * width for env in self.envs(node.arg)]
+        memo[node] = t
+        return t
 
     # ------------------------------------------------ derived operators
     def biimp(self, a: int, b: int) -> int:
@@ -570,7 +672,10 @@ def _sample_valuation(h: HeytingAlg, domain_size: int, rng: random.Random, two_v
 def _frames_for(h: HeytingAlg, nuclei: tuple[Nucleus, ...], rng: random.Random, max_frames: int) -> list[LopFrame]:
     idx = list(range(len(nuclei)))
     subsets = []
-    if len(nuclei) <= MAX_FRAME_ENUM_NUCLEI:
+    every = sum(comb(len(idx), size) for size in range(1, FRAME_BOUND + 1))
+    # sampling draws distinct frames until it has max_frames of them, so
+    # it would never stop if there were no more than that: take them all
+    if len(idx) <= MAX_FRAME_ENUM_NUCLEI or max_frames >= every:
         for size in range(1, FRAME_BOUND + 1):
             subsets.extend(combinations(idx, size))
     else:
@@ -600,6 +705,8 @@ def build_corpus(point_bound: int = 4, scenes_per_poset: int = 5, max_frames: in
     class (`all_posets`) and, per algebra, all 2^|P| nuclei
     (`enumerate_nuclei`), each in a fixed canonical order.  The frame
     sampling and the per-poset RNG seeds depend on those orders."""
+    if max_frames < 1:
+        raise HModelError(f"max_frames is {max_frames}; a scene needs at least the identity frame")
     scenes = []
     posets = all_posets(point_bound)
     for pidx, p in enumerate(posets):
