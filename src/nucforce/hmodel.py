@@ -382,12 +382,6 @@ class SceneEval:
             row = row * n + d
         return self._table(root, basis, frame, self._memo(basis, frame))[row]
 
-    def value(self, style: str, phi: Formula, j: Nucleus, env: Env = (), frame: LopFrame | None = None) -> int:
-        """The named translation of phi at j: one entry of a vector over
-        the frame, or over the singleton {j} when j is not a member."""
-        basis = frame if frame is not None and j in frame.members else LopFrame(self.h, (j,))
-        return self.vector(style, phi, env, basis, frame)[basis.members.index(j)]
-
     def _memo(self, basis: LopFrame, frame: LopFrame | None) -> dict:
         """The tables over one basis with one frame bound, by node."""
         got = self._vec.get((basis, frame))
@@ -647,7 +641,6 @@ class Scene:
 class Corpus:
     scenes: list[Scene]
     seed: int
-    description: str = ""
 
 
 # shared relation signature for the generated corpus
@@ -720,7 +713,7 @@ def build_corpus(point_bound: int = 4, scenes_per_poset: int = 5, max_frames: in
             atom_val = _sample_valuation(h, domain_size, rng, two_valued)
             model = HModel(h, domain_size, atom_val, nuclei, name=f"poset{pidx}-scene{s}")
             scenes.append(Scene(model, frames, two_valued))
-    return Corpus(scenes, seed, description=f"posets<={point_bound}, {scenes_per_poset} scenes each")
+    return Corpus(scenes, seed)
 
 
 def builtin_corpus(name: str, seed: int = 0) -> Corpus:
@@ -774,7 +767,7 @@ def corpus_from_spec(spec: str, seed: int = 0) -> Corpus:
     if spec.startswith("builtin:"):
         return builtin_corpus(spec, seed=seed)
     scene = load_model(spec)
-    return Corpus([scene], seed=seed, description=spec)
+    return Corpus([scene], seed=seed)
 
 
 # ------------------------------------------------------- formula stock
@@ -1291,7 +1284,7 @@ FORMULA_SETS = {
 }
 
 
-def search_countermodel(target: str, corpus: Corpus, formula_set: str = "implicational") -> dict:
+def search_countermodel(target: str, corpus: Corpus, formula_set: str) -> dict:
     """First witness, in canonical corpus order, where the named
     predicate is not top; or an exhaustion report."""
     value = SEARCH_TARGETS.get(target)

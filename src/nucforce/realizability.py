@@ -88,6 +88,7 @@ ARITY = {"S": 3, "K": 2, "PAIR": 2, "FST": 1, "SND": 1, "SUCC": 1,
 _LEAF_TAG = {name: i for i, name in enumerate(LEAVES)}
 _LEAF_TAG["ORA"] = TAG_ORA
 _LEAF_TAG["HALT"] = TAG_HALT
+_TAG_LEAF = {tag: name for name, tag in _LEAF_TAG.items()}
 
 
 def app(*terms):
@@ -144,45 +145,32 @@ def decode(c: int):
     s = bin(c)[3:]
     n = len(s)
     i = 0
-    stack = []  # pending applications, each a one-slot frame
-
-    def settle(v):
-        while stack:
-            frame = stack[-1]
-            if frame[0] is None:
-                frame[0] = v
-                return None
-            stack.pop()
-            v = ("app", frame[0], v)
-        return v
-
-    while True:
+    nodes = []  # the term in preorder: a leaf, a numeral, or None for an application
+    open_slots = 1  # subterms still to be read
+    while open_slots:
         if i + 4 > n:
             return ("num", 0)
         tag = int(s[i:i + 4], 2)
         i += 4
-        if tag < len(LEAVES):
-            v = LEAVES[tag]
-        elif tag == TAG_ORA:
-            v = "ORA"
-        elif tag == TAG_HALT:
-            v = "HALT"
+        if tag in _TAG_LEAF:
+            nodes.append(_TAG_LEAF[tag])
         elif tag == TAG_NUM:
-            z = 0
-            while i + z < n and s[i + z] == "0":
-                z += 1
-            if i + 2 * z + 1 > n:
+            z = s.find("1", i) - i  # the gamma payload's leading zeros
+            if z < 0 or i + 2 * z + 1 > n:
                 return ("num", 0)
-            v = ("num", int(s[i + z:i + 2 * z + 1], 2) - 1)
+            nodes.append(("num", int(s[i + z:i + 2 * z + 1], 2) - 1))
             i += 2 * z + 1
         elif tag == TAG_APP:
-            stack.append([None])
-            continue
+            nodes.append(None)
+            open_slots += 2
         else:
             return ("num", 0)
-        v = settle(v)
-        if v is not None:
-            return v
+        open_slots -= 1
+    stack = []
+    for v in reversed(nodes):
+        # an application's function sits on top of its argument
+        stack.append(v if v is not None else ("app", stack.pop(), stack.pop()))
+    return stack[0]
 
 
 def term_str(t) -> str:
@@ -230,7 +218,11 @@ class Oracle:
     """Finite partial function on the naturals."""
 
     label: str
-    table: tuple[tuple[int, int], ...]
+    table: tuple[tuple[int, int], ...]  # sorted; keys memos and equality
+    _map: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_map", dict(self.table))
 
     @staticmethod
     def from_dict(label: str, mapping: dict) -> "Oracle":
@@ -242,18 +234,14 @@ class Oracle:
             raise RealizabilityError(f"oracle {label!r}: the table must map integers to integers") from None
 
     def get(self, n: int) -> int | None:
-        for k, v in self.table:
-            if k == n:
-                return v
-        return None
+        return self._map.get(n)
 
     @property
     def domain(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.table)
 
     def extends(self, other: "Oracle") -> bool:
-        mine = dict(self.table)
-        return all(mine.get(k) == v for k, v in other.table)
+        return all(self._map.get(k) == v for k, v in other.table)
 
 
 EMPTY_ORACLE = Oracle("empty", ())
@@ -324,6 +312,11 @@ def load_oracle_poset(path: str) -> OraclePoset:
 
 
 # -------------------------------------------------------------- machine
+
+REALIZED = "realized"
+REFUTED = "refuted"
+EXHAUSTED = "exhausted"
+
 
 class _Stuck(Exception):
     pass
@@ -441,33 +434,46 @@ def _reduce(t, oracle: Oracle, fuel: list, consulted: set):
             t = ("num", 1 if step_halts(n, vals[1], vals[2], fuel) else 0)
 
 
-_HALT_CACHE: dict = {}
+def _run(e: int, n: int, oracle: Oracle, fuel: list, consulted: set):
+    """Code e applied to input n relative to the oracle, the one way the
+    machine is started: (REALIZED, normal form), (REFUTED, why it is
+    stuck) or (EXHAUSTED, "fuel").  The fuel cell is charged the steps
+    taken and `consulted` collects the oracle points asked."""
+    try:
+        return REALIZED, _reduce(("app", ("num", e), ("num", n)), oracle, fuel, consulted)
+    except _Stuck as exc:
+        return REFUTED, str(exc)
+    except _Exhausted:
+        return EXHAUSTED, "fuel"
+
+
+def _is_numeral(t) -> bool:
+    return type(t) is tuple and t[0] == "num"
+
+
+@lru_cache(maxsize=4096)
+def _halts(e: int, x: int, w: int) -> tuple[bool, int]:
+    """Whether code e on input x reaches a numeral within w steps, and the
+    steps it took.  It is pure, so one bounded memo serves every run and
+    a replay after an eviction charges the same fuel."""
+    inner = [w]
+    verdict, nf = _run(e, x, EMPTY_ORACLE, inner, set())
+    return verdict == REALIZED and _is_numeral(nf), w - inner[0]
 
 
 def step_halts(e: int, x: int, w: int, fuel: list | None = None) -> bool:
     """Whether code e on input x reaches a numeral within w steps.
 
     Runs without an oracle; this is the decidable halting surrogate used
-    by the StepHalt atom.  When an outer fuel cell is supplied, the
-    inner steps are charged against it first.  Results are cached along
-    with their step cost, so replays charge identical fuel.
+    by the StepHalt atom.  When an outer fuel cell is supplied, it must
+    hold w + 1 units, and the inner steps plus one are charged to it.
     """
     if fuel is not None and fuel[0] < w + 1:
         raise _Exhausted()
-    hit = _HALT_CACHE.get((e, x, w))
-    if hit is None:
-        inner = [w]
-        halted = False
-        try:
-            nf = _reduce(("app", ("num", e), ("num", x)), EMPTY_ORACLE, inner, set())
-            halted = isinstance(nf, tuple) and nf[0] == "num"
-        except (_Stuck, _Exhausted):
-            halted = False
-        hit = (halted, w - inner[0])
-        _HALT_CACHE[(e, x, w)] = hit
+    halted, cost = _halts(e, x, w)
     if fuel is not None:
-        fuel[0] -= hit[1] + 1
-    return hit[0]
+        fuel[0] -= cost + 1
+    return halted
 
 
 # -------------------------------------------------------------- budgets
@@ -491,10 +497,6 @@ class Budgets:
 DEFAULT_BUDGETS = Budgets()
 DEMO_BUDGETS = Budgets(fuel=100000, witness=64, universe=64, candidates=256)
 
-REALIZED = "realized"
-REFUTED = "refuted"
-EXHAUSTED = "exhausted"
-
 
 @dataclass
 class Outcome:
@@ -507,10 +509,6 @@ class Outcome:
     @property
     def realized(self) -> bool:
         return self.verdict == REALIZED
-
-    @property
-    def refuted(self) -> bool:
-        return self.verdict == REFUTED
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "detail": self.detail, "value": self.value,
@@ -527,19 +525,14 @@ def apply(e: int, n: int, f: Oracle, fuel: int = DEFAULT_BUDGETS.fuel) -> Outcom
         raise RealizabilityError("fuel must be at least 1")
     cell = [fuel]
     consulted: set = set()
-    try:
-        nf = _reduce(("app", ("num", e), ("num", n)), f, cell, consulted)
-    except _Stuck as exc:
-        return Outcome(REFUTED, detail=str(exc), budgets={"fuel": fuel},
-                       trace={"consulted": sorted(consulted)})
-    except _Exhausted:
-        return Outcome(EXHAUSTED, detail="fuel", budgets={"fuel": fuel},
-                       trace={"consulted": sorted(consulted)})
-    trace = {"consulted": sorted(consulted), "steps": fuel - cell[0]}
-    if isinstance(nf, tuple) and nf[0] == "num":
-        return Outcome(REALIZED, value=nf[1], budgets={"fuel": fuel}, trace=trace)
-    return Outcome(REFUTED, detail=f"non-numeral normal form {term_str(nf)}",
-                   budgets={"fuel": fuel}, trace=trace)
+    verdict, got = _run(e, n, f, cell, consulted)
+    trace = {"consulted": sorted(consulted)}
+    if verdict == REALIZED:
+        trace["steps"] = fuel - cell[0]
+        if _is_numeral(got):
+            return Outcome(REALIZED, value=got[1], budgets={"fuel": fuel}, trace=trace)
+        verdict, got = REFUTED, f"non-numeral normal form {term_str(got)}"
+    return Outcome(verdict, detail=got, budgets={"fuel": fuel}, trace=trace)
 
 
 def _code_apply(e: int, n: int, f: Oracle, fuel: int):
@@ -547,17 +540,12 @@ def _code_apply(e: int, n: int, f: Oracle, fuel: int):
 
     Unlike `apply`, a non-numeral normal form is returned as its own
     code, so partially applied combinators can be passed along as
-    higher-type realizers.  Returns (status, value_or_detail).
+    higher-type realizers.  Returns (verdict, value or detail).
     """
-    try:
-        nf = _reduce(("app", ("num", e), ("num", n)), f, [fuel], set())
-    except _Stuck as exc:
-        return "F", str(exc)
-    except _Exhausted:
-        return "E", "fuel"
-    if isinstance(nf, tuple) and nf[0] == "num":
-        return "R", nf[1]
-    return "R", encode(nf)
+    verdict, got = _run(e, n, f, [fuel], set())
+    if verdict != REALIZED:
+        return verdict, got
+    return REALIZED, got[1] if _is_numeral(got) else encode(got)
 
 
 # --------------------------------------------------- arithmetic helpers
@@ -602,8 +590,8 @@ def _require_checkable(phi: Formula):
 # ------------------------------------------------------------- checker
 
 def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
-    """Whether e realizes phi at the member f of the frame T: "R", "F" or
-    "E" (out of budget), with a detail for "F".
+    """Whether e realizes phi at the member f of the frame T: REALIZED,
+    REFUTED or EXHAUSTED (out of budget), with a detail for REFUTED.
 
     Implications and universals quantify over every extension of f in T
     and apply codes with that extension available; the remaining clauses
@@ -612,49 +600,49 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     into oracle application (the guarded form of the relative implication).
     """
     if isinstance(phi, Bot):
-        return "F", "falsum has no realizers"
+        return REFUTED, "falsum has no realizers"
     if isinstance(phi, (Eq, Atom)):
         if _atom_true(phi):
-            return "R", ""
-        return "F", f"atom {print_formula(phi)} is false"
+            return REALIZED, ""
+        return REFUTED, f"atom {print_formula(phi)} is false"
     if isinstance(phi, And):
         n, m = unpair(e)
         st1, d1 = _status(n, phi.left, f, T, cfg)
-        if st1 == "F":
-            return "F", f"left component {numeral_text(n)}: {d1}"
+        if st1 == REFUTED:
+            return REFUTED, f"left component {numeral_text(n)}: {d1}"
         st2, d2 = _status(m, phi.right, f, T, cfg)
-        if st2 == "F":
-            return "F", f"right component {numeral_text(m)}: {d2}"
-        return ("E", "budget") if "E" in (st1, st2) else ("R", "")
+        if st2 == REFUTED:
+            return REFUTED, f"right component {numeral_text(m)}: {d2}"
+        return (EXHAUSTED, "budget") if EXHAUSTED in (st1, st2) else (REALIZED, "")
     if isinstance(phi, Or):
         tag, n = unpair(e)
         if tag == 0:
             return _status(n, phi.left, f, T, cfg)
         if tag == 1:
             return _status(n, phi.right, f, T, cfg)
-        return "F", f"disjunction tag {numeral_text(tag)} is neither 0 nor 1"
+        return REFUTED, f"disjunction tag {numeral_text(tag)} is neither 0 nor 1"
     if isinstance(phi, Exists):
         w, r = unpair(e)
         st, d = _status(r, subst(phi.body, {phi.var: num(w)}), f, T, cfg)
-        if st == "F":
-            return "F", f"witness {numeral_text(w)}: {d}"
+        if st == REFUTED:
+            return REFUTED, f"witness {numeral_text(w)}: {d}"
         return st, d
     if isinstance(phi, Forall):
         pending = False
         for g in T.up(f):
             for m in range(cfg.universe):
                 st, v = _code_apply(e, m, g, cfg.fuel)
-                if st == "F":
-                    return "F", f"application fails at {m} over {g.label}: {v}"
-                if st == "E":
+                if st == REFUTED:
+                    return REFUTED, f"application fails at {m} over {g.label}: {v}"
+                if st == EXHAUSTED:
                     pending = True
                     continue
                 st2, d2 = _status(v, subst(phi.body, {phi.var: num(m)}), g, T, cfg)
-                if st2 == "F":
-                    return "F", f"instance {m} fails at {g.label}: {d2}"
-                if st2 == "E":
+                if st2 == REFUTED:
+                    return REFUTED, f"instance {m} fails at {g.label}: {d2}"
+                if st2 == EXHAUSTED:
                     pending = True
-        return ("E", "budget") if pending else ("R", "")
+        return (EXHAUSTED, "budget") if pending else (REALIZED, "")
     if isinstance(phi, Imp):
         pending = False
         for g in T.up(f):
@@ -662,17 +650,17 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
             pending = pending or exhausted
             for n in members:
                 st, v = _code_apply(e, n, g, cfg.fuel)
-                if st == "F":
-                    return "F", f"application fails on realizer {n} at {g.label}: {v}"
-                if st == "E":
+                if st == REFUTED:
+                    return REFUTED, f"application fails on realizer {n} at {g.label}: {v}"
+                if st == EXHAUSTED:
                     pending = True
                     continue
                 st2, d2 = _status(v, phi.right, g, T, cfg)
-                if st2 == "F":
-                    return "F", f"consequent fails for realizer {n} at {g.label}: {d2}"
-                if st2 == "E":
+                if st2 == REFUTED:
+                    return REFUTED, f"consequent fails for realizer {n} at {g.label}: {d2}"
+                if st2 == EXHAUSTED:
                     pending = True
-        return ("E", "budget") if pending else ("R", "")
+        return (EXHAUSTED, "budget") if pending else (REALIZED, "")
     raise RealizabilityError(f"cannot check node {phi!r}")
 
 
@@ -686,20 +674,17 @@ def _members(phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
         exhausted = False
         for c in range(cfg.candidates):
             st, _ = _status(c, phi, f, T, cfg)
-            if st == "R":
+            if st == REALIZED:
                 members.append(c)
-            elif st == "E":
+            elif st == EXHAUSTED:
                 exhausted = True
         got = T._members[key] = (members, exhausted)
     return got
 
 
-_VERDICT = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}
-
-
 def _check(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets, trace: dict) -> Outcome:
-    st, detail = _status(e, phi, f, T, cfg)
-    return Outcome(_VERDICT[st], detail=detail, budgets=cfg.to_dict(), trace=trace)
+    verdict, detail = _status(e, phi, f, T, cfg)
+    return Outcome(verdict, detail=detail, budgets=cfg.to_dict(), trace=trace)
 
 
 def realizes(e: int, phi: Formula, f: Oracle, cfg: Budgets = DEFAULT_BUDGETS) -> Outcome:
@@ -739,23 +724,17 @@ def check_assumption_A(T: OraclePoset, bound: int = DEFAULT_BUDGETS.witness,
             if f.table == g.table:
                 continue
             points = [n for n in f.domain if n < bound]
+
+            def reproduces(e):
+                # code e, run over g, returns f's value at every point
+                return all(_run(e, n, g, [cfg.fuel], set()) == (REALIZED, ("num", f.get(n))) for n in points)
+
             if g.extends(f):
-                ok = all(
-                    (out := apply(ora_code, n, g, cfg.fuel)).realized and out.value == f.get(n)
-                    for n in points
-                )
-                extension_pairs.append({"from": f.label, "to": g.label, "witnessed": ok})
-            else:
-                for e in range(cfg.candidates):
-                    hits = 0
-                    for n in points:
-                        out = apply(e, n, g, cfg.fuel)
-                        if not (out.realized and out.value == f.get(n)):
-                            break
-                        hits += 1
-                    if points and hits == len(points):
-                        flagged.append({"from": f.label, "to": g.label, "code": e})
-                        break
+                extension_pairs.append({"from": f.label, "to": g.label, "witnessed": reproduces(ora_code)})
+            elif points:
+                e = next((e for e in range(cfg.candidates) if reproduces(e)), None)
+                if e is not None:
+                    flagged.append({"from": f.label, "to": g.label, "code": e})
     return {
         "passed": not flagged and all(p["witnessed"] for p in extension_pairs),
         "extension_pairs": extension_pairs,
@@ -842,15 +821,14 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
     Preconditions (checked): r realizes phi at g, and above every
     extension of `at` there is a node where phi is realizable (g itself
     covers the nodes it extends).  Returns the canonical identity-like
-    code together with a verification report: every candidate realizer
-    of the negation, below the candidate bound, is refuted at each
-    extension, and the double negation itself is checked at `at`.
+    code together with a report of the cofinality witnesses the lift
+    rests on.
     """
     _require_checkable(phi)
     if at not in T or g not in T:
         raise RealizabilityError("both the target and the extension must belong to the poset")
     st, d = _status(r, phi, g, T, cfg)
-    if st != "R":
+    if st != REALIZED:
         raise RealizabilityError(f"supplied code {numeral_text(r)} does not realize the formula at {g.label}: {d}")
     # Cofinality: above every extension of the target there is a node
     # carrying a realizer of phi.  The supplied (g, r) covers the nodes g
@@ -874,15 +852,12 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
     # falsum), so the identity-like code realizes the double negation at
     # the target: its implication clause ranges over an empty realizer
     # set at every extension.  This justification is exact, not a scan.
-    refutations = {label: {"refuted_candidates": cfg.candidates, "by": witness}
-                   for label, witness in cofinal.items()}
     code = identity_code()
     report = {
         "code": code,
         "verdict": REALIZED,
         "detail": "negation has no realizers at any extension; witnesses recorded",
         "cofinal_witnesses": cofinal,
-        "negation_scan": refutations,
         "caveat": "the realizer at the extension is verified within the stated budgets",
     }
     return code, report
@@ -942,7 +917,8 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
             "budgets": cfg.to_dict(),
             "caveats": [
                 "Realized verdicts are relative to the stated budgets",
-                "Refuted verdicts are absolute: they exhibit a definite failure",
+                "Refuted verdicts exhibit a definite failure; one through an antecedent realizer"
+                " is relative to the candidate bound",
                 "non-realizability is shown by refuting the supplied candidates only",
                 "the top oracle is a finite bounded-halting table, not a true jump",
             ],

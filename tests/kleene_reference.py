@@ -11,6 +11,7 @@ from nucforce.formula import And, Bot, Eq, Exists, Forall, Imp, Monus, NumLit, O
 from nucforce.realizability import EXHAUSTED, REALIZED, REFUTED, _code_apply, unpair
 
 VERDICT_OF = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}
+LETTER_OF = {verdict: letter for letter, verdict in VERDICT_OF.items()}
 
 
 def _value(t) -> int:
@@ -67,7 +68,8 @@ def kleene_verdict(e: int, phi, f, cfg) -> str:
 
     def applied(e, n, psi):
         # apply e to n, then check the result against psi
-        st, v = _code_apply(e, n, f, cfg.fuel)
+        got, v = _code_apply(e, n, f, cfg.fuel)
+        st = LETTER_OF[got]
         return st if st != "R" else verdict(v, psi)
 
     return verdict(e, phi)

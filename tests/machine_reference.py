@@ -3,9 +3,9 @@
 An independent restatement of `apply`: leftmost-outermost reduction in
 which every strict argument (of CASE, PAIR, FST, SND, SUCC, ORA and
 HALT) is reduced by a nested call, two Python frames per level, with an
-uncached halting test and its own term printer.  It shares only the
-code format (`decode`, `ARITY`) and the pairing functions with the code
-under test.  Fuel is a single-cell list shared across nested
+uncached halting test, its own term printer and its own decoder, which
+hangs each subterm into a stack of open applications as it is read.  It shares only the code format (`ARITY` and the
+tag numbers) and the pairing functions with the code under test.  Fuel is a single-cell list shared across nested
 evaluations: it is checked at the top of every iteration and charged
 one unit per combinator step and per head-numeral decode.
 
@@ -13,7 +13,20 @@ Deep codes need one pair of Python frames per level of strict nesting,
 so keep the inputs small.
 """
 
-from nucforce.realizability import ARITY, EMPTY_ORACLE, EXHAUSTED, REALIZED, REFUTED, decode, pair, unpair
+from nucforce.realizability import (
+    ARITY,
+    EMPTY_ORACLE,
+    EXHAUSTED,
+    LEAVES,
+    REALIZED,
+    REFUTED,
+    TAG_APP,
+    TAG_HALT,
+    TAG_NUM,
+    TAG_ORA,
+    pair,
+    unpair,
+)
 
 
 class Stuck(Exception):
@@ -32,6 +45,55 @@ def term_str(t) -> str:
     if t[0] == "var":
         return t[1]
     return f"({term_str(t[1])} {term_str(t[2])})"
+
+
+def decode(c: int):
+    """Total decoding; malformed or truncated codes fall back to the
+    zero numeral, trailing bits are ignored."""
+    if c <= 0:
+        return ("num", 0)
+    s = bin(c)[3:]
+    n = len(s)
+    i = 0
+    stack = []  # pending applications, each a one-slot frame
+
+    def settle(v):
+        while stack:
+            frame = stack[-1]
+            if frame[0] is None:
+                frame[0] = v
+                return None
+            stack.pop()
+            v = ("app", frame[0], v)
+        return v
+
+    while True:
+        if i + 4 > n:
+            return ("num", 0)
+        tag = int(s[i:i + 4], 2)
+        i += 4
+        if tag < len(LEAVES):
+            v = LEAVES[tag]
+        elif tag == TAG_ORA:
+            v = "ORA"
+        elif tag == TAG_HALT:
+            v = "HALT"
+        elif tag == TAG_NUM:
+            z = 0
+            while i + z < n and s[i + z] == "0":
+                z += 1
+            if i + 2 * z + 1 > n:
+                return ("num", 0)
+            v = ("num", int(s[i + z:i + 2 * z + 1], 2) - 1)
+            i += 2 * z + 1
+        elif tag == TAG_APP:
+            stack.append([None])
+            continue
+        else:
+            return ("num", 0)
+        v = settle(v)
+        if v is not None:
+            return v
 
 
 def _rebuild(head, args):

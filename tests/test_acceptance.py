@@ -256,7 +256,7 @@ def test_criterion_7_separation_demo_all_green():
     assert set(report["sections"]) == {"i", "ii", "iii", "iv"}
     caveats = " ".join(report["header"]["caveats"])
     assert "Realized verdicts are relative to the stated budgets" in caveats
-    assert "Refuted verdicts are absolute" in caveats
+    assert "relative to the candidate bound" in caveats
     assert report["header"]["budgets"] == {
         "fuel": 100000, "witness": 64, "universe": 64, "candidates": 256,
     }

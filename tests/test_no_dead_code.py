@@ -5,8 +5,11 @@ as used when its own module reads it outside its own definition, when
 another `nucforce` module imports it, or when one of the two external
 contracts imports it: the acceptance tests and the benchmark workloads.
 A re-export from the package `__init__` is not a use.  An import counts
-as used when its module reads the name it binds.  The check reads the
-source with `ast`; nothing is imported or run.
+as used when its module reads the name it binds.  A method, property or
+annotated field of a package class counts as used when a package module
+or a contract reads an attribute of that name; dunder methods are called
+by Python itself and always count.  The check reads the source with
+`ast`; nothing is imported or run.
 """
 
 import ast
@@ -76,6 +79,25 @@ def unused_definitions(modules: dict[str, ast.Module], contracts: list[ast.Modul
     return out
 
 
+def _member_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def unused_members(modules: dict[str, ast.Module], contracts: list[ast.Module]) -> list[str]:
+    read = {n.attr for tree in [*modules.values(), *contracts] for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for mod, tree in modules.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            out += [f"{mod}.{cls.name}.{name}" for stmt in cls.body for name in _member_names(stmt)
+                    if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
 def unused_imports(modules: dict[str, ast.Module]) -> list[str]:
     out = []
     for mod, tree in modules.items():
@@ -92,6 +114,10 @@ def unused_imports(modules: dict[str, ast.Module]) -> list[str]:
 
 def test_every_top_level_definition_has_a_caller():
     assert unused_definitions(_modules(), _contracts()) == []
+
+
+def test_every_class_member_is_read():
+    assert unused_members(_modules(), _contracts()) == []
 
 
 def test_every_import_is_used():
@@ -113,3 +139,13 @@ def test_the_check_sees_a_dead_definition_and_an_unused_import():
     assert unused_definitions(modules, contracts) == ["a.reexported", "a.orphan"]
     assert unused_definitions(modules, []) == ["a.exported", "a.reexported", "a.orphan"]
     assert unused_imports(modules) == ["a: json", "a: h"]
+
+
+def test_the_check_sees_an_unread_member():
+    modules = {"a": ast.parse("class C:\n    size: int\n    note: str = ''\n"
+                              "    def __post_init__(self):\n        self.note = 'x'\n"
+                              "    def used(self):\n        return self.size\n"
+                              "    @property\n    def unused(self):\n        return 1\n")}
+    # a write is not a read, and a dunder method always counts
+    assert unused_members(modules, []) == ["a.C.note", "a.C.used", "a.C.unused"]
+    assert unused_members(modules, [ast.parse("def f(c):\n    return c.used() and c.note")]) == ["a.C.unused"]

@@ -11,6 +11,7 @@ from nucforce.formula import Imp, neg, parse
 from nucforce.realizability import (
     Budgets,
     DEFAULT_BUDGETS,
+    DEMO_BUDGETS,
     EMPTY_ORACLE,
     EXHAUSTED,
     Oracle,
@@ -46,10 +47,10 @@ from nucforce.realizability import (
     term_str,
     unpair,
 )
-from nucforce.formula import Sigma, universal_instance
+from nucforce.formula import PiOrPi, Sigma, universal_instance
 
 from kleene_reference import VERDICT_OF, kleene_verdict
-from machine_reference import reference_apply
+from machine_reference import decode as reference_decode, reference_apply, step_halts as reference_step_halts
 
 
 # ------------------------------------------------------------- pairing
@@ -106,6 +107,18 @@ def test_decode_is_total():
         t = decode(c)
         assert isinstance(t, (str, tuple))
         term_str(t)  # printable
+
+
+def test_decode_agrees_with_the_reference_decoder():
+    rng = random.Random(2024)
+    codes = list(range(1 << 16))
+    codes += [rng.getrandbits(rng.randrange(20, 401)) for _ in range(5000)]
+    for _ in range(1000):
+        # well-formed codes, cut short or followed by stray bits
+        c = encode(_random_term(rng, depth=6))
+        codes += [c, c >> rng.randrange(1, c.bit_length()), (c << 7) | rng.getrandbits(7)]
+    for c in codes:
+        assert decode(c) == reference_decode(c), c
 
 
 def test_zero_decodes_to_the_zero_numeral():
@@ -174,12 +187,12 @@ def test_numeral_in_head_position_decodes_to_its_term():
 
 def test_application_of_the_zero_code_is_refuted():
     out = apply(0, 0, EMPTY_ORACLE)
-    assert out.refuted and "zero code" in out.detail
+    assert out.verdict == REFUTED and "zero code" in out.detail
 
 
 def test_non_numeral_normal_form_is_refuted():
     out = apply(encode("K"), 5, EMPTY_ORACLE)
-    assert out.refuted and "normal form" in out.detail
+    assert out.verdict == REFUTED and "normal form" in out.detail
 
 
 def test_diverging_code_exhausts_fuel():
@@ -193,7 +206,7 @@ def test_oracle_calls_and_consultation_trace():
     assert out.realized and out.value == 5
     assert 2 in out.trace["consulted"]
     out = apply(encode("ORA"), 3, f)
-    assert out.refuted
+    assert out.verdict == REFUTED
 
 
 def test_apply_requires_positive_fuel():
@@ -210,8 +223,8 @@ def test_fuel_monotonicity(e, n, fuel):
     hi = apply(e, n, EMPTY_ORACLE, fuel=fuel + 200)
     if lo.realized:
         assert hi.realized and hi.value == lo.value
-    if lo.refuted:
-        assert hi.refuted
+    if lo.verdict == REFUTED:
+        assert hi.verdict == REFUTED
 
 
 # FIX (\s.\x. CASE x 0 (\y. SUCC (s y))): the identity by recursion, whose
@@ -275,6 +288,26 @@ def test_step_halts_monotone_in_the_step_bound():
         history = [step_halts(e, 1, w) for w in range(1, 40)]
         # once true, stays true
         assert history == sorted(history)
+
+
+def test_halting_memo_is_bounded_and_an_evicted_entry_charges_the_same_fuel():
+    from nucforce.realizability import _halts
+
+    e, x, w = FIX_IDENTITY, 20, 1000
+    want = [w + 1]
+    assert reference_step_halts(e, x, w, want)
+    first = [w + 1]
+    assert step_halts(e, x, w, first)
+    assert first == want and first[0] < w - 100
+    bound = _halts.cache_info().maxsize
+    for k in range(bound + 10):
+        step_halts(0, k, 1)  # distinct entries, each stuck at once
+    info = _halts.cache_info()
+    assert info.currsize == bound
+    again = [w + 1]
+    assert step_halts(e, x, w, again)
+    assert _halts.cache_info().misses == info.misses + 1  # evicted, so run again
+    assert again == want
 
 
 # -------------------------------------------------------------- budgets
@@ -359,37 +392,37 @@ def test_true_atoms_are_realized_by_any_code():
 
 
 def test_false_atoms_are_refuted():
-    assert realizes(0, parse("0 = S(0)"), EMPTY_ORACLE).refuted
+    assert realizes(0, parse("0 = S(0)"), EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_falsum_has_no_realizers():
-    assert realizes(0, parse("bot"), EMPTY_ORACLE).refuted
+    assert realizes(0, parse("bot"), EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_conjunction_realizer_is_a_pair():
     phi = parse("0 = 0 /\\ 1 = 1")
     assert realizes(pair(0, 0), phi, EMPTY_ORACLE).realized
     bad = parse("0 = 0 /\\ 0 = 1")
-    assert realizes(pair(0, 0), bad, EMPTY_ORACLE).refuted
+    assert realizes(pair(0, 0), bad, EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_disjunction_realizer_carries_a_tag():
     phi = parse("0 = 0 \\/ bot")
     assert realizes(pair(0, 0), phi, EMPTY_ORACLE).realized
-    assert realizes(pair(1, 0), phi, EMPTY_ORACLE).refuted
-    assert realizes(pair(2, 0), phi, EMPTY_ORACLE).refuted
+    assert realizes(pair(1, 0), phi, EMPTY_ORACLE).verdict == REFUTED
+    assert realizes(pair(2, 0), phi, EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_existential_realizer_carries_its_witness():
     phi = parse("exists x. x = 2")
     assert realizes(pair(2, 0), phi, EMPTY_ORACLE).realized
-    assert realizes(pair(3, 0), phi, EMPTY_ORACLE).refuted
+    assert realizes(pair(3, 0), phi, EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_universal_realizer_is_applied_to_each_numeral():
     phi = parse("forall x. x + 0 = x")
     assert realizes(encode(app("K", numt(0))), phi, EMPTY_ORACLE).realized
-    assert realizes(encode(app("K", numt(0))), parse("forall x. x = 1"), EMPTY_ORACLE).refuted
+    assert realizes(encode(app("K", numt(0))), parse("forall x. x = 1"), EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_vacuous_implication_is_realized():
@@ -400,7 +433,7 @@ def test_implication_maps_antecedent_realizers():
     phi = parse("0 = 0 -> 1 = 1")
     assert realizes(identity_code(), phi, EMPTY_ORACLE).realized
     bad = parse("0 = 0 -> 0 = 1")
-    assert realizes(identity_code(), bad, EMPTY_ORACLE).refuted
+    assert realizes(identity_code(), bad, EMPTY_ORACLE).verdict == REFUTED
 
 
 def test_open_or_abstract_formulas_are_rejected():
@@ -624,6 +657,24 @@ def test_separation_demo_reports_the_top_verdict_when_the_lift_is_refused(monkey
     section = separation_demo(Budgets(fuel=5, witness=64, universe=4, candidates=256), [])["sections"]["iii"]
     assert section["green"] is False and section["top_verdict"] == EXHAUSTED
     assert section["lift"]["error"].startswith("supplied code ")
+
+
+def test_a_refutation_through_an_antecedent_scan_is_relative_to_the_candidate_bound():
+    # below the demo's candidate bound no code realizes the disjunctive
+    # DNE instance at either node, so code 0 passes as a realizer of its
+    # negation, and the identity is refuted on the double negation that
+    # the lift realizes
+    e_div, e_halt = diverging_code(), halting_code(0)
+    f0 = EMPTY_ORACLE
+    chain = OraclePoset((f0, bounded_halting_oracle(64, DEMO_BUDGETS.fuel // 4, extra={e_div: 0, e_halt: 1})))
+    disj = universal_instance(PiOrPi(1), e_div, e_div, e_halt, e_halt)
+    target = Imp(neg(neg(disj)), disj)
+    out = djg_realizes(identity_code(), neg(neg(target)), f0, chain, DEMO_BUDGETS)
+    assert out.verdict == REFUTED
+    assert out.detail == "consequent fails for realizer 0 at empty: falsum has no realizers"
+    caveats = separation_demo()["header"]["caveats"]
+    assert not any("absolute" in c.lower() for c in caveats)
+    assert any("relative to the candidate bound" in c for c in caveats)
 
 
 def test_separation_demo_all_green():
