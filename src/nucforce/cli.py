@@ -65,8 +65,9 @@ def _poset_from_spec(spec: str):
     return load_poset(spec)
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _emit(report: dict | str, args) -> None:
+    """Write a report, as JSON unless it is already text, to --out or stdout."""
+    text = report if isinstance(report, str) else json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -114,12 +115,7 @@ def cmd_nuclei(args) -> int:
 def cmd_translate(args) -> int:
     fn = TRANSLATIONS[args.style]
     phi = parse(args.formula)
-    text = print_formula(fn(phi))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(print_formula(fn(phi)), args)
     _summary(f"{args.style} translation of {print_formula(phi)}")
     return EXIT_OK
 

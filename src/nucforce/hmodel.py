@@ -264,19 +264,6 @@ def _project(fv: tuple[str, ...], sub: tuple[str, ...], n: int) -> tuple[int, ..
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
-def _axis(fv: tuple[str, ...], var: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """For each environment over fv without var, the indices over fv of
-    its n extensions by var, in domain order."""
-    stride = n ** (len(fv) - 1 - fv.index(var))
-    out = []
-    for i in range(n ** (len(fv) - 1)):
-        high, low = divmod(i, stride)
-        base = high * stride * n + low
-        out.append(tuple(base + d * stride for d in range(n)))
-    return tuple(out)
-
-
 class SceneEval:
     """Evaluator of translated formulas for one model: one table per
     node, one vector per environment, one entry per nucleus of a basis.
@@ -310,11 +297,15 @@ class SceneEval:
     can only miss.  `node_evals` counts the tables built.  This is the
     bottom-up labelling of explicit-state model checking (Clarke, Emerson
     & Sistla, TOPLAS 8(2), 1986), with the nuclei as states.  A leaf
-    reads `plain`, Mod looks each entry up in its nucleus table, And, Or
-    and Imp combine the rows of their children through cached index maps
-    (`_project`), and Forall and Exists fold the body's rows along the
-    bound variable's axis (`_axis`); a quantifier whose body does not
-    mention its variable is compiled to its body.  A GuardAll body is in
+    table holds the atom's `eval_formula` value at each environment, and
+    is the evaluator's only memo of atom values.  Mod looks each entry up
+    in its nucleus table.  One cached index map, `_project`, sends each
+    environment of a node to its restriction to a subset of the node's
+    free variables: And, Or and Imp combine the rows of their children
+    through it, and Forall and Exists fold each body row into the row of
+    its restriction, which takes the extensions of an environment in
+    domain order.  A quantifier whose body does not mention its variable
+    is compiled to its body.  A GuardAll body is in
     k, which ranges over the frame, so its table is built over the frame
     as basis; entry i of a guard row is then the meet of the body entries
     at the frame members above `basis.members[i]`, which `ups` lists once
@@ -323,8 +314,6 @@ class SceneEval:
 
     `trp_val` and `cl_val` return matrices over a pair of bases, built
     from the gg vectors of the two bases, one pass per environment.
-    `value(style, phi, j, env, frame)` is one entry of a vector, for tests
-    and callers that need one nucleus.
     Vectors, matrices and the lists `envs` and `ups` return are shared:
     callers must not mutate them.
     """
@@ -332,7 +321,6 @@ class SceneEval:
     def __init__(self, model: HModel):
         self.m = model
         self.h = model.algebra
-        self._plain: dict = {}
         self._vec: dict = {}
         self._ups: dict = {}
         self._envs: dict = {}
@@ -356,14 +344,6 @@ class SceneEval:
             got = self._ups[key] = [
                 [x for x, k in enumerate(frame.members) if nucleus_le(j, k)] for j in basis.members
             ]
-        return got
-
-    def plain(self, phi: Formula, env: Env = ()) -> int:
-        key = (phi, env)
-        got = self._plain.get(key)
-        if got is None:
-            got = eval_formula(phi, self.m, env)
-            self._plain[key] = got
         return got
 
     def rows(self, style: str, shapes, basis: LopFrame, frame: LopFrame | None = None) -> list:
@@ -405,13 +385,12 @@ class SceneEval:
                  for x, y in zip(_project(node.fv, kids[0].fv, n), _project(node.fv, kids[1].fv, n))]
         elif kind is Forall or kind is Exists:
             op = h.meet if kind is Forall else h.join
-            body = self._table(kids[0], basis, frame, memo)
-            t = []
-            for line in _axis(kids[0].fv, node.arg, n):
-                acc = body[line[0]]
-                for x in line[1:]:
-                    acc = [op[a][b] for a, b in zip(acc, body[x])]
-                t.append(acc)
+            # body rows come in product order, so each environment folds
+            # its extensions by the bound variable in domain order
+            t = [None] * n ** len(node.fv)
+            for x, row in zip(_project(kids[0].fv, node.fv, n), self._table(kids[0], basis, frame, memo)):
+                acc = t[x]
+                t[x] = row if acc is None else [op[a][b] for a, b in zip(acc, row)]
         elif kind is GuardAll:
             if frame is None:
                 raise HModelError(f"guard over {node.arg} needs a frame")
@@ -428,7 +407,7 @@ class SceneEval:
                 t.append(vec)
         else:  # a leaf
             width = len(basis)
-            t = [[self.plain(node.arg, env)] * width for env in self.envs(node.arg)]
+            t = [[eval_formula(node.arg, self.m, env)] * width for env in self.envs(node.arg)]
         memo[node] = t
         return t
 
@@ -995,7 +974,7 @@ def _suite_loplem(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     m, h = ev.m, ev.h
     rng = random.Random(f"{report.seed}:{m.name}:loplem")
     subsets = [tuple(rng.choice(tuple(h.carrier)) for _ in m.domain) for _ in range(4)]
-    for j in m.nuclei[:SCENE_NUCLEI]:
+    for j in ev.nuclei.members:
         for p in h.carrier:
             for q in h.carrier:
                 report.check_eq(h.imp[p][j(q)], j(h.imp[p][j(q)]), item=1, j=j, p=p, q=q)
@@ -1088,7 +1067,7 @@ def _suite_literal_class(report: SuiteReport, ev: SceneEval, scene: Scene) -> No
     for phi in LITERAL_SHAPES:
         for env in ev.envs(phi):
             rhs = h.meet_all(v for frame in frames for v in ev.vector("forcing", phi, env, basis, frame))
-            report.check_eq(ev.plain(phi, env), rhs, formula=phi, env=env)
+            report.check_eq(eval_formula(phi, ev.m, env), rhs, formula=phi, env=env)
 
 
 def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
@@ -1171,7 +1150,7 @@ def _dense_basis(ev: SceneEval) -> LopFrame:
 
 def _suite_dense_dne(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     dense = _dense_basis(ev)
-    plain, at_j = ev.plain(DNE_ATOM, ()), ev.vector("gg", DNE_ATOM, (), dense)
+    plain, at_j = eval_formula(DNE_ATOM, ev.m), ev.vector("gg", DNE_ATOM, (), dense)
     rows = [(phi, ev.vector("gg", dne, (), dense), ev.cl_val(phi, dense)) for phi, dne in DNE_SHAPES]
     for i, j in enumerate(dense.members):
         report.check_le(plain, at_j[i], item=1, j=j)

@@ -571,12 +571,15 @@ def eval_term(t, env: dict | None = None) -> int:
     raise RealizabilityError(f"unknown term {t!r}")
 
 
-def _atom_true(phi: Formula) -> bool:
+def _atom_true(phi: Formula, fuel: int) -> bool:
+    """The truth of a closed atom.  A StepHalt atom runs on a fresh cell of
+    the given fuel, so a bound it cannot cover raises _Exhausted before
+    any step."""
     if isinstance(phi, Eq):
         return eval_term(phi.left) == eval_term(phi.right)
     if isinstance(phi, Atom) and phi.rel == STEP_HALT:
         e, x, w = (eval_term(a) for a in phi.args)
-        return step_halts(e, x, w)
+        return step_halts(e, x, w, [fuel])
     raise RealizabilityError(f"not a decidable atom: {phi!r}")
 
 
@@ -602,8 +605,11 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     if isinstance(phi, Bot):
         return REFUTED, "falsum has no realizers"
     if isinstance(phi, (Eq, Atom)):
-        if _atom_true(phi):
-            return REALIZED, ""
+        try:
+            if _atom_true(phi, cfg.fuel):
+                return REALIZED, ""
+        except _Exhausted:
+            return EXHAUSTED, "fuel"
         return REFUTED, f"atom {print_formula(phi)} is false"
     if isinstance(phi, And):
         n, m = unpair(e)
@@ -815,14 +821,13 @@ def induction_axiom(psi: Formula, var: str = "x") -> Formula:
 
 
 def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
-                 cfg: Budgets = DEFAULT_BUDGETS) -> tuple[int, dict]:
+                 cfg: Budgets = DEFAULT_BUDGETS) -> dict:
     """Lift a realizer at an extension to a double-negation realizer below.
 
     Preconditions (checked): r realizes phi at g, and above every
     extension of `at` there is a node where phi is realizable (g itself
-    covers the nodes it extends).  Returns the canonical identity-like
-    code together with a report of the cofinality witnesses the lift
-    rests on.
+    covers the nodes it extends).  Returns a report with the canonical
+    identity-like code and the cofinality witnesses the lift rests on.
     """
     _require_checkable(phi)
     if at not in T or g not in T:
@@ -852,15 +857,13 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
     # falsum), so the identity-like code realizes the double negation at
     # the target: its implication clause ranges over an empty realizer
     # set at every extension.  This justification is exact, not a scan.
-    code = identity_code()
-    report = {
-        "code": code,
+    return {
+        "code": identity_code(),
         "verdict": REALIZED,
         "detail": "negation has no realizers at any extension; witnesses recorded",
         "cofinal_witnesses": cofinal,
         "caveat": "the realizer at the extension is verified within the stated budgets",
     }
-    return code, report
 
 
 # ------------------------------------------------------ separation demo
@@ -876,13 +879,12 @@ def halting_code(value: int = 0) -> int:
     return encode(app("K", numt(value)))
 
 
-def bounded_halting_oracle(code_bound: int, fuel: int, extra: dict | None = None,
-                           label: str = "halting") -> Oracle:
+def bounded_halting_oracle(code_bound: int, fuel: int, extra: dict | None = None) -> Oracle:
     """Self-application halting facts for codes below the bound, plus
     any explicitly supplied facts."""
     table = {n: 1 if step_halts(n, n, fuel) else 0 for n in range(code_bound)}
     table.update(extra or {})
-    return Oracle.from_dict(label, table)
+    return Oracle.from_dict("halting", table)
 
 
 def default_candidates() -> list[int]:
@@ -970,7 +972,7 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
                           lam("u", app("PAIR", numt(1), numt(halting_code(0))))))
     r_top = encode(picker)
     try:
-        _, lift_report = not_not_lift(target, chain, f1, r_top, f0, cfg)
+        lift_report = not_not_lift(target, chain, f1, r_top, f0, cfg)
         top_verdict = REALIZED
         green = lift_report["verdict"] == REALIZED
     except RealizabilityError as exc:

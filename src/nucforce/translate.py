@@ -10,8 +10,10 @@ forcing translation (implications and universals additionally guard
 over the frame), and the Kuroda-style variant (atoms untouched, the
 modality lands on consequents and under universals).
 
-In every output each node has at most one free nucleus variable: j at
-the root, and the guard's k throughout a GuardAll body.
+The current nucleus is named by guard depth (`_nucleus`: j, then k, k2,
+...) and the frame is always P, so the output is deterministic.  In
+every output each node has at most one free nucleus variable: j at the
+root, and the guard's k throughout a GuardAll body.
 `hmodel.SceneEval` relies on this to evaluate a node at every nucleus of
 a basis as one vector, and a GuardAll body over the frame.
 """
@@ -34,81 +36,76 @@ from .formula import (
 )
 
 
-def _guard_name(depth: int) -> str:
-    return "k" if depth == 1 else f"k{depth}"
+def _nucleus(depth: int) -> str:
+    """The name of the current nucleus at a guard depth: j at the root,
+    then k, k2, k3, ... inside nested guards."""
+    return "j" if depth == 0 else "k" if depth == 1 else f"k{depth}"
 
 
-def gg_translate(phi: Formula, j: str = "j") -> Formula:
+def gg_translate(phi: Formula) -> Formula:
     """Nucleus translation: Mod at atoms, \\/ and exists; the rest commutes."""
     if isinstance(phi, (Atom, Eq, Bot)):
-        return Mod(j, phi)
+        return Mod("j", phi)
     if isinstance(phi, And):
-        return And(gg_translate(phi.left, j), gg_translate(phi.right, j))
+        return And(gg_translate(phi.left), gg_translate(phi.right))
     if isinstance(phi, Or):
-        return Mod(j, Or(gg_translate(phi.left, j), gg_translate(phi.right, j)))
+        return Mod("j", Or(gg_translate(phi.left), gg_translate(phi.right)))
     if isinstance(phi, Imp):
-        return Imp(gg_translate(phi.left, j), gg_translate(phi.right, j))
+        return Imp(gg_translate(phi.left), gg_translate(phi.right))
     if isinstance(phi, Exists):
-        return Mod(j, Exists(phi.var, gg_translate(phi.body, j)))
+        return Mod("j", Exists(phi.var, gg_translate(phi.body)))
     if isinstance(phi, Forall):
-        return Forall(phi.var, gg_translate(phi.body, j))
+        return Forall(phi.var, gg_translate(phi.body))
     raise FormulaError(f"cannot translate node {phi!r}")
 
 
-def forcing_translate(phi: Formula, j: str = "j", frame: str = "P", _depth: int = 0) -> Formula:
-    """Forcing translation over a frame of nuclei.
+def forcing_translate(phi: Formula, _depth: int = 0) -> Formula:
+    """Forcing translation over the frame P.
 
     Implications and universals quantify over all frame members above
-    the current nucleus; guard variables are named k, k2, k3, ... by
-    nesting depth, which keeps the output deterministic.
+    the current nucleus.
     """
+    j, k = _nucleus(_depth), _nucleus(_depth + 1)
     if isinstance(phi, (Atom, Eq, Bot)):
         return Mod(j, phi)
     if isinstance(phi, And):
-        return And(forcing_translate(phi.left, j, frame, _depth), forcing_translate(phi.right, j, frame, _depth))
+        return And(forcing_translate(phi.left, _depth), forcing_translate(phi.right, _depth))
     if isinstance(phi, Or):
-        return Mod(j, Or(forcing_translate(phi.left, j, frame, _depth), forcing_translate(phi.right, j, frame, _depth)))
+        return Mod(j, Or(forcing_translate(phi.left, _depth), forcing_translate(phi.right, _depth)))
     if isinstance(phi, Imp):
-        k = _guard_name(_depth + 1)
-        body = Imp(
-            forcing_translate(phi.left, k, frame, _depth + 1),
-            forcing_translate(phi.right, k, frame, _depth + 1),
-        )
-        return GuardAll(k, frame, j, body)
+        body = Imp(forcing_translate(phi.left, _depth + 1), forcing_translate(phi.right, _depth + 1))
+        return GuardAll(k, "P", j, body)
     if isinstance(phi, Exists):
-        return Mod(j, Exists(phi.var, forcing_translate(phi.body, j, frame, _depth)))
+        return Mod(j, Exists(phi.var, forcing_translate(phi.body, _depth)))
     if isinstance(phi, Forall):
-        k = _guard_name(_depth + 1)
-        return GuardAll(k, frame, j, Forall(phi.var, forcing_translate(phi.body, k, frame, _depth + 1)))
+        return GuardAll(k, "P", j, Forall(phi.var, forcing_translate(phi.body, _depth + 1)))
     raise FormulaError(f"cannot translate node {phi!r}")
 
 
-def kuroda_forcing_translate(phi: Formula, j: str = "j", frame: str = "P", _depth: int = 0) -> Formula:
+def kuroda_forcing_translate(phi: Formula, _depth: int = 0) -> Formula:
     """Kuroda-style variant: atoms stay bare, \\/ and exists commute, the
     modality is applied to implication consequents and under universals."""
+    j, k = _nucleus(_depth), _nucleus(_depth + 1)
     if isinstance(phi, (Atom, Eq, Bot)):
         return phi
     if isinstance(phi, And):
-        return And(kuroda_forcing_translate(phi.left, j, frame, _depth), kuroda_forcing_translate(phi.right, j, frame, _depth))
+        return And(kuroda_forcing_translate(phi.left, _depth), kuroda_forcing_translate(phi.right, _depth))
     if isinstance(phi, Or):
-        return Or(kuroda_forcing_translate(phi.left, j, frame, _depth), kuroda_forcing_translate(phi.right, j, frame, _depth))
+        return Or(kuroda_forcing_translate(phi.left, _depth), kuroda_forcing_translate(phi.right, _depth))
     if isinstance(phi, Imp):
-        k = _guard_name(_depth + 1)
-        body = Imp(
-            kuroda_forcing_translate(phi.left, k, frame, _depth + 1),
-            Mod(k, kuroda_forcing_translate(phi.right, k, frame, _depth + 1)),
-        )
-        return GuardAll(k, frame, j, body)
+        body = Imp(kuroda_forcing_translate(phi.left, _depth + 1),
+                   Mod(k, kuroda_forcing_translate(phi.right, _depth + 1)))
+        return GuardAll(k, "P", j, body)
     if isinstance(phi, Exists):
-        return Exists(phi.var, kuroda_forcing_translate(phi.body, j, frame, _depth))
+        return Exists(phi.var, kuroda_forcing_translate(phi.body, _depth))
     if isinstance(phi, Forall):
-        k = _guard_name(_depth + 1)
-        return GuardAll(k, frame, j, Forall(phi.var, Mod(k, kuroda_forcing_translate(phi.body, k, frame, _depth + 1))))
+        body = Forall(phi.var, Mod(k, kuroda_forcing_translate(phi.body, _depth + 1)))
+        return GuardAll(k, "P", j, body)
     raise FormulaError(f"cannot translate node {phi!r}")
 
 
-def kuroda_wrapped_translate(phi: Formula, j: str = "j", frame: str = "P") -> Formula:
-    return Mod(j, kuroda_forcing_translate(phi, j, frame))
+def kuroda_wrapped_translate(phi: Formula) -> Formula:
+    return Mod("j", kuroda_forcing_translate(phi))
 
 
 TRANSLATIONS = {

@@ -83,6 +83,13 @@ def test_translate_golden(capsys):
     assert out.strip() == "all k>=j in P. forall x. [k]R(x)"
 
 
+def test_translate_out_writes_the_formula(capsys, tmp_path):
+    target = tmp_path / "translation.txt"
+    code, out, err = run(capsys, "--out", str(target), "translate", "--style", "forcing", "forall x. R(x)")
+    assert code == 0 and out == "" and err.startswith("forcing translation")
+    assert target.read_text() == "all k>=j in P. forall x. [k]R(x)\n"
+
+
 def test_translate_bad_formula(capsys):
     code, _, err = run(capsys, "translate", "R(")
     assert code == 2 and "error:" in err
@@ -165,6 +172,16 @@ def test_realize_verdict_exit_codes(capsys, tmp_path):
                            "--oracle", _write(tmp_path, "consulted.json", doc))
         verdicts.append((code, json.loads(out)["verdict"]))
     assert verdicts == [(1, "refuted"), (0, "realized"), (0, "realized")]
+
+
+def test_realize_charges_a_step_halt_bound_to_the_fuel(capsys, tmp_path):
+    # running two million steps takes seconds; a bound above the fuel is
+    # exhausted before any step runs
+    start = time.time()
+    code, out, err = run(capsys, "realize", "--code", "0", "--fuel", "10", "--formula",
+                         f"StepHalt({diverging_code()}, 0, 2000000)", "--oracle", _oracle_file(tmp_path))
+    assert time.time() - start < 1.0
+    assert code == 3 and json.loads(out)["verdict"] == "exhausted" and err.startswith("exhausted")
 
 
 @pytest.mark.parametrize("shape", sorted(NESTED))

@@ -2,12 +2,12 @@
 suites, and the countermodel search."""
 
 import json
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from nucforce.algebra import FinPoset, upset_algebra
-from nucforce.formula import And, Atom, BOT, Eq, Exists, Forall, Imp, Mod, Or, Var, Zero, parse
+from nucforce.formula import And, Atom, BOT, Eq, Exists, Forall, Imp, Mod, Or, Var, Zero, free_vars, parse
 from nucforce.nucleus import (
     LopFrame,
     double_negation,
@@ -18,6 +18,7 @@ from nucforce.nucleus import (
 from nucforce.hmodel import (
     IMPFREE_SHAPES,
     LITERAL_SHAPES,
+    ForcingLEval,
     HModel,
     HModelError,
     SceneEval,
@@ -33,7 +34,7 @@ from nucforce.hmodel import (
     run_suite,
     search_countermodel,
 )
-from nucforce.translate import TRANSLATIONS
+from nucforce.translate import TRANSLATIONS, forcing_translate
 
 
 def _two_valued_model():
@@ -155,7 +156,7 @@ def test_gg_with_identity_nucleus_is_plain_value():
         phi = parse(src)
         for d in m.domain:
             env = (("x", d),)
-            assert _value(ev, "gg", phi, jid, env) == ev.plain(phi, env)
+            assert _value(ev, "gg", phi, jid, env) == eval_formula(phi, m, env)
 
 
 def test_forcing_on_singleton_frame_is_gg():
@@ -177,6 +178,45 @@ def test_top_nucleus_forces_everything():
     frame = LopFrame(m.algebra, (jt,))
     for src in SHAPES:
         assert _value(ev, "forcing", parse(src), jt, (("x", 0), ("y", 0)), frame) == m.algebra.top
+
+
+def test_forcing_l_conjunctions_match_the_forcing_translation_at_singletons():
+    """The And clause of the sheaf-term evaluator, which no forcingL-equiv
+    shape reaches: at environments of unit singletons it gives the value
+    `eval_m` gives the forcing translation, on the scenes that suite keeps."""
+    shapes = [parse(s) for s in ["R(x) /\\ Q(x)", "(R(x) /\\ Q(y)) -> R(y)",
+                                 "exists x. (R(x) /\\ ~Q(x))", "forall x. (R(x) /\\ Q(y))"]]
+    scenes = [scene for scene in builtin_corpus("builtin:small").scenes
+              if scene.model.algebra.size <= 8 and scene.model.domain_size <= 2]
+    assert scenes
+    for scene in scenes:
+        m = scene.model
+        for frame in scene.frames[:2]:
+            evl = ForcingLEval(m, frame)
+            for phi in shapes:
+                t, fv = forcing_translate(phi), sorted(free_vars(phi))
+                for point in product(m.domain, repeat=len(fv)):
+                    env = tuple(zip(fv, point))
+                    for j in frame.members:
+                        uenv = tuple((name, evl.unit(j, evl.singleton(d))) for name, d in env)
+                        assert evl.value(phi, j, uenv) == eval_m(t, m, env, {"j": j}, {"P": frame}), (phi, env)
+
+
+def test_literal_class_adds_the_identity_frame_a_model_file_lacks(tmp_path):
+    """Over the frame {top} alone the guard of ~R(x) makes its forcing
+    value top at every nucleus, so without the identity frame the meet
+    would miss its plain value at x = 1, where R holds."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"poset": {"elements": ["a"], "covers": []}, "domain_size": 2,
+                                "atoms": {"R": [0, 1], "Q": [1, 0]}, "frames": [["top"]]}))
+    scene = load_model(str(path))
+    m, (frame,) = scene.model, scene.frames
+    phi, env = parse("~R(x)"), (("x", 1),)
+    assert {eval_m(forcing_translate(phi), m, env, {"j": j}, {"P": frame}) for j in m.nuclei} == {m.algebra.top}
+    assert eval_formula(phi, m, env) == m.algebra.bottom
+    report = run_suite("literal-class", corpus_from_spec(str(path)))
+    assert report.passed, report.failures[:3]
+    assert report.checks == sum(m.domain_size ** len(free_vars(phi)) for phi in LITERAL_SHAPES)
 
 
 def _reference_posets(max_points):

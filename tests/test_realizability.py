@@ -310,6 +310,18 @@ def test_halting_memo_is_bounded_and_an_evicted_entry_charges_the_same_fuel():
     assert again == want
 
 
+def test_step_halt_atom_bound_is_charged_to_the_fuel_budget():
+    """A StepHalt bound the fuel cannot cover is exhausted before any step
+    runs, however large; one it covers gets the reference's verdict."""
+    cfg = Budgets(fuel=10)
+    for w in (10, 2_000_000):
+        phi = parse(f"StepHalt({diverging_code()}, 0, {w})")
+        assert realizes(0, phi, EMPTY_ORACLE, cfg).verdict == EXHAUSTED
+    for e in (diverging_code(), halting_code(0)):
+        want = REALIZED if reference_step_halts(e, 0, 9, [cfg.fuel]) else REFUTED
+        assert realizes(0, parse(f"StepHalt({e}, 0, 9)"), EMPTY_ORACLE, cfg).verdict == want
+
+
 # -------------------------------------------------------------- budgets
 
 def test_budget_validation():
@@ -603,6 +615,63 @@ def test_repeated_check_on_a_frame_scans_no_antecedent_again(monkeypatch):
     assert calls[scanned:] == [(0, phi)]
 
 
+def test_an_exhausted_instance_or_consequent_leaves_the_verdict_pending():
+    """The application succeeds and returns the diverging code, whose own
+    applications run out of fuel: an instance of the outer universal, and
+    the consequent of the implication, are exhausted, not refuted."""
+    e = halting_code(diverging_code())
+    cfg = Budgets(fuel=300, universe=2, candidates=2)
+    for m in range(cfg.universe):
+        assert reference_apply(e, m, EMPTY_ORACLE, cfg.fuel)["value"] == diverging_code()
+    for text in ("forall x. forall y. y = y", "0 = 0 -> forall y. y = y"):
+        phi = parse(text)
+        assert VERDICT_OF[kleene_verdict(e, phi, EMPTY_ORACLE, cfg)] == EXHAUSTED
+        assert realizes(e, phi, EMPTY_ORACLE, cfg).verdict == EXHAUSTED, text
+
+
+def test_an_exhausted_antecedent_candidate_leaves_the_implication_pending():
+    """No candidate realizes the antecedent, but with 2 steps of fuel some
+    run out trying, so the implication is not vacuously realized; with
+    enough fuel every candidate is refuted and it is."""
+    ante = parse("forall x. 0 = 1")
+    phi = Imp(ante, parse("0 = 0"))
+    for fuel, want in ((2, EXHAUSTED), (300, REALIZED)):
+        cfg = Budgets(fuel=fuel, universe=2, candidates=32)
+        scan = {VERDICT_OF[kleene_verdict(c, ante, EMPTY_ORACLE, cfg)] for c in range(cfg.candidates)}
+        assert REALIZED not in scan and (EXHAUSTED in scan) == (want == EXHAUSTED)
+        assert VERDICT_OF[kleene_verdict(0, phi, EMPTY_ORACLE, cfg)] == want
+        assert realizes(0, phi, EMPTY_ORACLE, cfg).verdict == want
+
+
+def _forked_frame():
+    """A root f0 with two incompatible extensions, f1 and f2."""
+    f0, f1, f2 = (Oracle.from_dict(label, table) for label, table in (("f0", {}), ("f1", {0: 1}), ("f2", {0: 0})))
+    return f0, f1, f2, OraclePoset((f0, f1, f2))
+
+
+def test_not_not_lift_scans_above_the_extensions_the_supplied_node_misses():
+    # f1 covers f0 and itself; f2 is maximal, so its scan is Kleene
+    # realizability relative to f2
+    f0, f1, f2, T = _forked_frame()
+    phi, r, cfg = parse("exists x. x = 1"), pair(1, 5), DEFAULT_BUDGETS
+    first = next(c for c in range(cfg.candidates) if kleene_verdict(c, phi, f2, cfg) == "R")
+    report = not_not_lift(phi, T, f1, r, f0, cfg)
+    assert report["cofinal_witnesses"] == {"f0": {"node": "f1", "realizer": r}, "f1": {"node": "f1", "realizer": r},
+                                           "f2": {"node": "f2", "realizer": first}}
+
+
+def test_not_not_lift_refuses_when_an_extension_has_no_realizer():
+    # the supplied code reads the oracle at 0, which only f1 answers with
+    # 1; below the candidate bound nothing realizes phi at f2
+    f0, f1, f2, T = _forked_frame()
+    phi, cfg = parse("forall x. exists y. y = 1"), DEFAULT_BUDGETS
+    r = encode(app("K", app("PAIR", app("ORA", numt(0)), numt(0))))
+    assert kleene_verdict(r, phi, f1, cfg) == "R"
+    assert all(kleene_verdict(c, phi, f2, cfg) != "R" for c in range(cfg.candidates))
+    with pytest.raises(RealizabilityError, match="no extension of f2 realizes the formula"):
+        not_not_lift(phi, T, f1, r, f0, cfg)
+
+
 # ------------------------------------------------------------- the demo
 
 def test_bounded_halting_oracle_contents():
@@ -624,7 +693,8 @@ def test_not_not_lift_produces_a_budget_relative_verdict():
     f1 = Oracle.from_dict("f1", {0: 1})
     T = OraclePoset((f0, f1))
     phi = parse("exists x. x = 1")
-    code, report = not_not_lift(phi, T, f1, pair(1, 0), f0)
+    report = not_not_lift(phi, T, f1, pair(1, 0), f0)
+    code = report["code"]
     assert report["verdict"] == REALIZED
     assert "budget" in report["caveat"]
     assert set(report["cofinal_witnesses"]) == {"f0", "f1"}

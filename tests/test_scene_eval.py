@@ -57,6 +57,10 @@ FORMULAS = st.recursive(ATOMS, lambda sub: st.one_of(
 @example(phi=parse("exists y. (R(x) -> forall x. Q(y))"), scene=2, frame=2, points=(1, 1, 1))
 @example(phi=parse("forall x. forall y. (R(x) -> Q(y))"), scene=3, frame=2, points=(0, 0, 0))
 @example(phi=parse("(exists x. R(x)) \\/ ~forall y. Q(y)"), scene=4, frame=1, points=(2, 1, 0))
+# the bound variable first, in the middle and last of three free ones
+@example(phi=parse("forall x. (R(x) /\\ Q(y) /\\ R(z))"), scene=9, frame=0, points=(2, 1, 0))
+@example(phi=parse("exists y. (R(x) /\\ Q(y) /\\ R(z))"), scene=10, frame=1, points=(1, 2, 0))
+@example(phi=parse("forall z. (R(x) -> Q(y) \\/ R(z))"), scene=7, frame=2, points=(0, 2, 1))
 def test_vector_equals_translate_then_eval_m(phi, scene, frame, points):
     """Every style, every entry, over the scene basis and over the frame,
     in an environment that binds x, y and an unused z whatever phi's free
