@@ -24,18 +24,26 @@ class AlgebraError(ValueError):
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset given by labels and a full <= relation table."""
+    """A finite poset: labels, and for each point the bit mask of the
+    points above it (bit j of `up[i]` says elements[i] <= elements[j])."""
 
     elements: tuple[str, ...]
-    leq: frozenset[tuple[str, str]]
+    up: tuple[int, ...]
 
     def __post_init__(self):
-        errs = poset_violations(self.elements, self.leq)
-        if errs:
-            raise AlgebraError(errs[0])
-
-    def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
+        els, up = self.elements, self.up
+        for i, e in enumerate(els):
+            if not up[i] >> i & 1:
+                raise AlgebraError(f"reflexivity fails at {e!r}")
+        pairs = [(i, j) for i, m in enumerate(up) for j in range(len(els)) if m >> j & 1]  # i <= j
+        for i, j in pairs:
+            if i != j and up[j] >> i & 1:
+                raise AlgebraError(f"antisymmetry fails at pair ({els[i]!r}, {els[j]!r})")
+        for i, j in pairs:
+            missing = up[j] & ~up[i]
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise AlgebraError(f"transitivity fails at triple ({els[i]!r}, {els[j]!r}, {els[k]!r})")
 
     @staticmethod
     def from_covers(elements: list[str], covers: list[tuple[str, str]]) -> "FinPoset":
@@ -61,8 +69,7 @@ class FinPoset:
             for i in range(len(elems)):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        rel = {(a, b) for a, ua in zip(elems, up) for j, b in enumerate(elems) if ua >> j & 1}
-        return FinPoset(elems, frozenset(rel))
+        return FinPoset(elems, tuple(up))
 
     @staticmethod
     def chain(n: int) -> "FinPoset":
@@ -82,31 +89,11 @@ def _check_count(n: int) -> None:
 
 
 def check_poset_size(n: int) -> None:
-    """Refuse a poset too large for `upset_algebra`.  The loaders call
-    this before `from_covers`, whose closure and axiom checks take time
-    cubic in the number of points; `FinPoset` itself takes any size."""
+    """Refuse a poset too large for `upset_algebra`, which scans all
+    2^n point sets.  The loaders call this before they build the poset;
+    `FinPoset` itself takes any size."""
     if n > MAX_POINTS:
         raise AlgebraError(f"poset of {n} points exceeds the {MAX_POINTS}-point cap")
-
-
-def poset_violations(elements, leq) -> list[str]:
-    """Return human-readable axiom violations (empty list means valid)."""
-    errs = []
-    for e in elements:
-        if (e, e) not in leq:
-            errs.append(f"reflexivity fails at {e!r}")
-            return errs
-    for a, b in leq:
-        if a != b and (b, a) in leq:
-            errs.append(f"antisymmetry fails at pair ({a!r}, {b!r})")
-            return errs
-    leqset = set(leq)
-    for a, b in leq:
-        for c in elements:
-            if (b, c) in leqset and (a, c) not in leqset:
-                errs.append(f"transitivity fails at triple ({a!r}, {b!r}, {c!r})")
-                return errs
-    return errs
 
 
 def load_poset(path: str) -> FinPoset:
@@ -191,16 +178,11 @@ def upset_algebra(p: FinPoset) -> HeytingAlg:
     """
     n = len(p.elements)
     check_poset_size(n)
-    idx = {e: i for i, e in enumerate(p.elements)}
-    up_of = [0] * n  # bitmask of elements >= element i
-    for a in p.elements:
-        for b in p.elements:
-            if p.le(a, b):
-                up_of[idx[a]] |= 1 << idx[b]
+    up = p.up
 
     def is_upset(mask: int) -> bool:
         for i in range(n):
-            if mask & (1 << i) and (mask & up_of[i]) != up_of[i]:
+            if mask & (1 << i) and (mask & up[i]) != up[i]:
                 return False
         return True
 
@@ -216,7 +198,7 @@ def upset_algebra(p: FinPoset) -> HeytingAlg:
         allowed = (full & ~u) | v
         out = 0
         for i in range(n):
-            if (up_of[i] & allowed) == up_of[i]:
+            if (up[i] & allowed) == up[i]:
                 out |= 1 << i
         return out
 

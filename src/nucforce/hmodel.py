@@ -603,9 +603,10 @@ def all_posets(max_points: int) -> list[FinPoset]:
                 grown = list(rel) + [(a, new) for a in range(new) if down >> a & 1]
                 seen.add(min(tuple(sorted((p[a], p[b]) for a, b in grown)) for p in permutations(range(n))))
         level = sorted(seen)
-        labels = [f"p{i}" for i in range(n)]
-        for canon in level:
-            out.append(FinPoset.from_covers(labels, [(labels[a], labels[b]) for a, b in canon]))
+        labels = tuple(f"p{i}" for i in range(n))
+        for canon in level:  # strict pairs, transitively closed already
+            up = tuple(sum((1 << b for a, b in canon if a == i), 1 << i) for i in range(n))
+            out.append(FinPoset(labels, up))
     return out
 
 
@@ -739,7 +740,8 @@ def load_model(path: str) -> Scene:
     nuclei = tuple(enumerate_nuclei(h))
     model = HModel(h, domain_size, atom_val, nuclei, name=path)
     frames = [LopFrame(h, tuple(named_nucleus(h, s) for s in spec)) for spec in frame_specs]
-    return Scene(model, frames, two_valued=False)
+    two_valued = all(v in (h.bottom, h.top) for table in atom_val.values() for v in table.values())
+    return Scene(model, frames, two_valued)
 
 
 def corpus_from_spec(spec: str, seed: int = 0) -> Corpus:

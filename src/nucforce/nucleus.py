@@ -101,8 +101,6 @@ def is_nucleus(h: HeytingAlg, t) -> tuple[bool, str | None]:
         if not h.le(t[t[a]], t[a]):
             return False, f"not idempotent at {a}"
     for a, b in product(h.carrier, h.carrier):
-        if not h.le(h.imp[a][b], h.imp[t[a]][t[b]]):
-            return False, f"implication clause fails at ({a}, {b})"
         if t[h.meet[a][b]] != h.meet[t[a]][t[b]]:
             return False, f"binary meets not preserved at ({a}, {b})"
     return True, None

@@ -52,8 +52,7 @@ def test_nuclei_command(capsys):
 
 @pytest.mark.parametrize("spec", ["chain:x", "chain:-1", "antichain:-2", "chain:100", "chain:1000"])
 def test_nuclei_rejects_malformed_poset_spec(capsys, monkeypatch, spec):
-    # an oversized poset is refused before it is built: the closure and
-    # the axiom checks take time cubic in the number of points
+    # an oversized poset is refused before it is built
     def refuse(elements, covers):
         raise AssertionError(f"built a poset of {len(elements)} points")
 
@@ -327,6 +326,44 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, case):
     code, out, err = run(capsys, *MALFORMED_INPUTS[case](tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _balanced_code(leaves):
+    """A balanced application tree of S leaves: 4,096 leaves take 16,381
+    characters, and their code has about 9,900 decimal digits."""
+    if leaves == 1:
+        return "S"
+    half = _balanced_code(leaves // 2)
+    return f"({half} {half})"
+
+
+def test_model_file_without_a_relation_a_suite_reads_exits_2(capsys, tmp_path):
+    model = _write(tmp_path, "m.json", {"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                                        "domain_size": 2, "atoms": {"R": [0, 2]}})
+    code, out, err = run(capsys, "check", "--suite", "iqc-soundness", "--corpus", model)
+    assert (code, out, err) == (2, "", "error: relation Q is not declared in the model\n")
+
+
+def test_code_term_too_long_to_print_exits_2(capsys, tmp_path):
+    text = _balanced_code(4096)
+    assert len(text) == 16381
+    code, out, err = run(capsys, "realize", "--code", text, "--formula", "0 = 0", "--oracle", _oracle_file(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: code term is too long: its code has more digits than Python prints\n"
+
+
+@pytest.mark.parametrize("atoms, checks", [
+    ({"R": [0, 2], "Q": [2, 2]}, {"trp-ladder": 28, "sufcon": 14}),  # every atom at bottom or top
+    ({"R": [0, 1], "Q": [2, 2]}, {"trp-ladder": 0, "sufcon": 0}),
+])
+def test_two_valued_suites_keep_a_model_file_whose_atoms_are_two_valued(capsys, tmp_path, atoms, checks):
+    model = _write(tmp_path, "m.json", {"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                                        "domain_size": 2, "atoms": atoms})
+    for suite, count in checks.items():
+        code, out, _ = run(capsys, "check", "--suite", suite, "--corpus", model)
+        report = json.loads(out)
+        assert code == 0 and report["passed"] and report["checks"] == count
+        assert report["notes"][0].endswith(f"({int(count > 0)} scenes)")
 
 
 # Valid input files and the command that reads each, given the file and

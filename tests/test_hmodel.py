@@ -223,7 +223,8 @@ def _reference_posets(max_points):
     """Brute-force reference for `all_posets`: every strict relation on
     n labelled points, filtered to the transitive antisymmetric ones and
     deduplicated by canonical form (least sorted pair list over all
-    relabellings), listed in canonical-form order."""
+    relabellings), listed in canonical-form order as (labels, up-set
+    masks) pairs."""
     out = []
     for n in range(1, max_points + 1):
         pairs = [(i, k) for i in range(n) for k in range(n) if i != k]
@@ -235,9 +236,10 @@ def _reference_posets(max_points):
             if any((b, c) in rel and (a, c) not in rel for a, b in rel for c in range(n)):
                 continue
             seen.add(min(tuple(sorted((p[a], p[b]) for a, b in rel)) for p in permutations(range(n))))
-        labels = [f"p{i}" for i in range(n)]
+        labels = tuple(f"p{i}" for i in range(n))
         for canon in sorted(seen):
-            out.append(FinPoset.from_covers(labels, [(labels[a], labels[b]) for a, b in canon]))
+            up = tuple(sum(1 << k for k in range(n) if k == i or (i, k) in canon) for i in range(n))
+            out.append((labels, up))
     return out
 
 
@@ -251,13 +253,13 @@ def test_all_posets_counts():
 def test_all_posets_matches_brute_force_reference():
     got = all_posets(4)
     want = _reference_posets(4)
-    assert [(p.elements, p.leq) for p in got] == [(p.elements, p.leq) for p in want]
+    assert [(p.elements, p.up) for p in got] == want
 
 
 def test_all_posets_are_valid_and_distinct():
     posets = all_posets(3)
     assert len(posets) == 8
-    assert len({p.leq for p in posets}) == len(posets)
+    assert len({p.up for p in posets}) == len(posets)
 
 
 def test_builtin_corpora_shape():

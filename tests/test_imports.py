@@ -1,4 +1,5 @@
-"""Every `nucforce` submodule imports on its own.
+"""Every `nucforce` submodule imports on its own, and so do the
+benchmark workloads.
 
 The package `__init__` imports nothing, so no module-load order hides an
 import cycle: each submodule is imported first in a fresh interpreter.
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SUBMODULES = sorted(path.stem for path in (SRC / "nucforce").glob("*.py") if path.stem != "__init__")
 
 
@@ -32,3 +34,12 @@ def test_submodule_imports_in_a_fresh_interpreter(name):
 
 def test_the_machine_half_does_not_load_the_lattice_half():
     assert _loaded_after("nucforce.realizability") == {"nucforce", "nucforce.formula", "nucforce.realizability"}
+
+
+def test_the_benchmark_workloads_import_every_name_they_use():
+    # a renamed or deleted name fails here, not only in a benchmark run;
+    # no bytecode is written under perfbench/
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{ROOT / 'perfbench'}", PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", "import workloads"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr

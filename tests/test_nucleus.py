@@ -111,6 +111,39 @@ def test_nucleus_constructor_rejects_non_nucleus():
         Nucleus(h, (0, 0, 2))  # not inflationary at 1
 
 
+@pytest.mark.parametrize("poset, table, message", [
+    (FinPoset.chain(2), (0, 1), "table not total over carrier of size 3"),
+    (FinPoset.chain(2), (0, 1, 3), "table not total over carrier of size 3"),
+    (FinPoset.chain(2), (1, 2, 2), "not a nucleus: not idempotent at 0"),
+    # inflationary and idempotent on the diamond, but the two atoms meet
+    # at bottom while their images meet at top
+    (FinPoset.antichain(2), (0, 3, 3, 3), r"not a nucleus: binary meets not preserved at \(1, 2\)"),
+], ids=["too-short", "out-of-range", "not-idempotent", "meets-not-preserved"])
+def test_nucleus_constructor_names_the_failed_clause(poset, table, message):
+    with pytest.raises(NucleusError, match=message):
+        Nucleus(upset_algebra(poset), table)
+
+
+def _four_clauses_hold(h, t):
+    """The nucleus laws with the implication clause a->b <= ja->jb that
+    the recogniser leaves out, since the other three imply it."""
+    return _laws_hold(h, t) and all(h.le(h.imp[a][b], h.imp[t[a]][t[b]])
+                                    for a, b in product(h.carrier, h.carrier))
+
+
+def test_is_nucleus_agrees_with_four_clause_reference_on_every_endomap():
+    posets = [FinPoset.chain(1), FinPoset.chain(2), FinPoset.antichain(2), FinPoset.chain(3),
+              FinPoset.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")]),
+              FinPoset.from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")])]
+    seen = 0
+    for p in posets:
+        h = upset_algebra(p)
+        for t in product(h.carrier, repeat=h.size):
+            assert is_nucleus(h, t)[0] == _four_clauses_hold(h, t), (p, t)
+            seen += 1
+    assert seen == 2 ** 2 + 3 ** 3 + 2 * 4 ** 4 + 2 * 5 ** 5
+
+
 def test_is_nucleus_witness_messages():
     h = upset_algebra(FinPoset.chain(2))
     ok, why = is_nucleus(h, (0, 0, 2))
@@ -170,6 +203,15 @@ def test_frame_rejects_duplicates_and_foreign_members():
         LopFrame(h, (identity_nucleus(other),))
 
 
+def test_order_and_frame_up_refuse_nuclei_on_different_algebras():
+    h, other = upset_algebra(FinPoset.chain(2)), upset_algebra(FinPoset.chain(2))
+    with pytest.raises(NucleusError, match="nucleus order needs a shared algebra"):
+        nucleus_le(identity_nucleus(h), identity_nucleus(other))
+    frame = LopFrame(h, (identity_nucleus(h),))
+    with pytest.raises(NucleusError, match="frame and nucleus on different algebras"):
+        frame_up(frame, identity_nucleus(other))
+
+
 def test_frame_up_filters_by_pointwise_order():
     h = upset_algebra(FinPoset.chain(2))
     inventory = enumerate_nuclei(h)
@@ -195,8 +237,8 @@ def test_named_nucleus_specs():
 
 
 def test_nucleus_implication_clause_follows_from_laws():
-    # the recogniser also checks imp(a,b) <= imp(ja,jb); make sure every
-    # enumerated nucleus satisfies it (a consequence of the other laws)
+    # (a->b) & ja <= j(a->b) & ja = j((a->b) & a) <= jb, so every
+    # enumerated nucleus has a->b <= ja->jb without the recogniser checking it
     h = upset_algebra(FinPoset.antichain(2))
     for j in enumerate_nuclei(h):
         for a, b in product(h.carrier, h.carrier):
