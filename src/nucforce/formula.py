@@ -430,12 +430,20 @@ def read_numeral(text: str) -> int:
 
 def read_json(path: str, error: type[Exception]):
     """The JSON document in the file at path, refusing with `error` one
-    nested deeper than the decoder recurses."""
+    nested deeper than the decoder recurses, one that is not text, and
+    one holding an integer longer than Python converts (4,300 digits by
+    default).  A syntax error stays a `json.JSONDecodeError`."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise error(f"{path}: JSON nests too deeply to read") from None
+        except json.JSONDecodeError:
+            raise
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+        except ValueError:  # the only other ValueError the decoder raises
+            raise error(f"{path}: a JSON integer has more digits than Python converts") from None
 
 
 # -------------------------------------------------------------- printer

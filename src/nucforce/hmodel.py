@@ -188,7 +188,7 @@ def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind:
     raise HModelError(f"cannot evaluate node {mphi!r}")
 
 
-SCENE_NUCLEI = 16  # suites that range over a scene's nuclei take this many
+SCENE_NUCLEI = 16  # suites that range over a scene's nuclei take this many, and say so
 
 # Bounds of the process-wide caches of compiled translations, which hold
 # no model, basis or budget; all suites and searches on builtin:default
@@ -212,13 +212,18 @@ class _Node:
         self.kind, self.arg, self.kids, self.fv = kind, arg, kids, fv
 
 
+def _fv(phi: Formula) -> tuple[str, ...]:
+    """phi's free variables, sorted: the order of every environment."""
+    return tuple(sorted(free_vars(phi)))
+
+
 @lru_cache(maxsize=NODE_CACHE_SIZE)
 def _node(kind: type, arg, *kids: _Node) -> _Node:
     """The interned node: equal arguments give the same object while it is
     cached.  Children compare by identity, so a child evicted and interned
     again makes a new parent, never a wrong one."""
     if kind is Atom:
-        fv = tuple(sorted(free_vars(arg)))
+        fv = _fv(arg)
     elif kind is Forall or kind is Exists:
         fv = tuple(v for v in kids[0].fv if v != arg)
     else:
@@ -268,16 +273,18 @@ class SceneEval:
     """Evaluator of translated formulas for one model: one table per
     node, one vector per environment, one entry per nucleus of a basis.
 
-    `vector(style, phi, env, basis, frame)` evaluates
-    `TRANSLATIONS[style](phi)` at every nucleus of the basis at once.
-    Entry i is the value with the nucleus variable j bound to
-    `basis.members[i]` and the frame variable P bound to `frame`, the
-    number `eval_m` computes; a dedicated test compares every entry.  A
-    basis is a `LopFrame`, whose hash is computed once.  Suites that range
-    over a scene's nuclei use `nuclei`, the model's first `SCENE_NUCLEI`
-    nuclei, built on first use; frame predicates and the countermodel
-    search use the frame itself, so a basis is no larger than what its
-    caller reads.
+    `table(style, phi, basis, frame)` evaluates `TRANSLATIONS[style](phi)`
+    at every nucleus of the basis and every environment at once, one row
+    per environment in `envs(phi)` order: the root's free variables are
+    phi's, as translations keep them and a vacuous quantifier is compiled
+    away.  Entry i of row x is the value at `envs(phi)[x]` with the
+    nucleus variable j bound to `basis.members[i]` and the frame variable
+    P bound to `frame`, the number `eval_m` computes; a dedicated test
+    compares every entry.  A basis is a `LopFrame`, whose hash is
+    computed once.  Suites that range over a scene's nuclei use `nuclei`,
+    the model's first `SCENE_NUCLEI` nuclei, built on first use; frame
+    predicates and the countermodel search use the frame itself, so a
+    basis is no larger than what its caller reads.
 
     A translation is compiled once per process: `_compiled` maps the
     translation function and phi to a root in an intern table (`_node`)
@@ -309,12 +316,11 @@ class SceneEval:
     k, which ranges over the frame, so its table is built over the frame
     as basis; entry i of a guard row is then the meet of the body entries
     at the frame members above `basis.members[i]`, which `ups` lists once
-    per (frame, basis).  `vector` returns the row of the root's table for
-    env restricted to the root's free variables; env may bind more.
+    per (frame, basis).
 
     `trp_val` and `cl_val` return matrices over a pair of bases, built
-    from the gg vectors of the two bases, one pass per environment.
-    Vectors, matrices and the lists `envs` and `ups` return are shared:
+    from the gg tables of the two bases, one pass per environment.
+    Tables, matrices and the lists `envs` and `ups` return are shared:
     callers must not mutate them.
     """
 
@@ -346,21 +352,16 @@ class SceneEval:
             ]
         return got
 
-    def rows(self, style: str, shapes, basis: LopFrame, frame: LopFrame | None = None) -> list:
-        """(phi, env, vector) for each shape and each of its environments,
-        in that order."""
-        return [(phi, env, self.vector(style, phi, env, basis, frame)) for phi in shapes for env in self.envs(phi)]
+    def rows(self, shapes, *reads) -> list:
+        """(phi, env, vector, ...) for each shape and each of its
+        environments, one vector per read (style, basis, frame)."""
+        return [(phi, *got) for phi in shapes for got in
+                zip(self.envs(phi), *(self.table(style, phi, basis, frame) for style, basis, frame in reads))]
 
-    def vector(self, style: str, phi: Formula, env: Env, basis: LopFrame, frame: LopFrame | None = None) -> list[int]:
-        """The named translation of phi at every nucleus of the basis."""
-        root = _compiled(TRANSLATIONS[style], phi)
-        n, row = self.m.domain_size, 0
-        for var in root.fv:
-            d = env_get(env, var)
-            if not 0 <= d < n:
-                raise HModelError(f"variable {var} is bound to {d}, outside the {n}-point domain")
-            row = row * n + d
-        return self._table(root, basis, frame, self._memo(basis, frame))[row]
+    def table(self, style: str, phi: Formula, basis: LopFrame, frame: LopFrame | None = None) -> list[list[int]]:
+        """The named translation of phi at every nucleus of the basis, one
+        vector per environment in `envs(phi)` order."""
+        return self._table(_compiled(TRANSLATIONS[style], phi), basis, frame, self._memo(basis, frame))
 
     def _memo(self, basis: LopFrame, frame: LopFrame | None) -> dict:
         """The tables over one basis with one frame bound, by node."""
@@ -421,7 +422,7 @@ class SceneEval:
         product order."""
         got = self._envs.get(phi)
         if got is None:
-            fv = sorted(free_vars(phi))
+            fv = _fv(phi)
             got = self._envs[phi] = [tuple(zip(fv, point)) for point in product(self.m.domain, repeat=len(fv))]
         return got
 
@@ -435,13 +436,11 @@ class SceneEval:
         return h.meet_all(self.biimp(j(p), k(p)) for p in h.carrier)
 
     # ------------------------------------------------- named predicates
-    # Each reads the vectors of the translation over the frame, or over
-    # the given bases, once per environment.
+    # Each reads the whole tables of the translation over the frame, or
+    # over the given bases.
     def equiv_val(self, phi: Formula, frame: LopFrame) -> int:
         meet, biimp, acc = self.h.meet, self.biimp, self.h.top
-        for env in self.envs(phi):
-            fc = self.vector("forcing", phi, env, frame, frame)
-            gg = self.vector("gg", phi, env, frame)
+        for fc, gg in zip(self.table("forcing", phi, frame, frame), self.table("gg", phi, frame)):
             for a, b in zip(fc, gg):
                 acc = meet[acc][biimp(a, b)]
         return acc
@@ -458,8 +457,7 @@ class SceneEval:
         h = self.h
         meet, imp, acc = h.meet, h.imp, h.top
         ups = self.ups(frame, frame)
-        for env in self.envs(phi):
-            gg = self.vector("gg", phi, env, frame)
+        for gg in self.table("gg", phi, frame):
             for a, up in zip(gg, ups):
                 for x in up:
                     acc = meet[acc][imp[gg[x]][a] if down else imp[a][gg[x]]]
@@ -481,9 +479,9 @@ class SceneEval:
         meet, imp, top = h.meet, h.imp, h.top
         tables = [k.table for k in cols.members]
         got = [[top] * len(tables) for _ in rows.members]
-        for env in self.envs(phi):
-            at_j = self.vector("gg", phi, env, rows)
-            at_k = self.vector("gg", phi, env, cols) if trp and cols is not rows else at_j
+        at_js = self.table("gg", phi, rows)
+        at_ks = self.table("gg", phi, cols) if trp and cols is not rows else at_js
+        for at_j, at_k in zip(at_js, at_ks):
             for row, a in zip(got, at_j):
                 for l, t in enumerate(tables):
                     c, b = t[a], at_k[l] if trp else a  # k(gg at j), and gg at k or at j
@@ -968,7 +966,7 @@ def _wit(scene: Scene, **extra) -> dict:
 # The formulas a suite derives from the shapes (negations, closures,
 # compounds of a pair) are built once, at import, so the evaluator's memo
 # tables find each one by identity instead of comparing fresh trees.  Per
-# frame, a suite reads the vectors of its formulas over a basis once, then
+# frame, a suite reads the tables of its formulas over a basis once, then
 # walks them in the order of its checks: nucleus, then formula, then
 # environment, so check counts and the recorded failures follow that order.
 
@@ -989,8 +987,7 @@ def _suite_loplem(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
 def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     h = ev.h
     for frame in scene.frames:
-        rows = [(phi, env, fc, ev.vector("gg", phi, env, frame))
-                for phi, env, fc in ev.rows("forcing", SMALL_SHAPES, frame, frame)]
+        rows = ev.rows(SMALL_SHAPES, ("forcing", frame, frame), ("gg", frame, None))
         for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
             ante = h.meet_all(ev.eq_val(j, frame.members[x]) for x in up)
             for phi, env, fc, gg in rows:
@@ -1000,7 +997,7 @@ def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, scene: Scene) ->
 def _suite_jclosed(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     basis = ev.nuclei
     for frame in scene.frames:
-        rows = ev.rows("forcing", GENERAL_SHAPES, basis, frame)
+        rows = ev.rows(GENERAL_SHAPES, ("forcing", basis, frame))
         for i, j in enumerate(basis.members):
             for phi, env, vec in rows:
                 v = vec[i]
@@ -1010,8 +1007,7 @@ def _suite_jclosed(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
 def _suite_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     basis = ev.nuclei
     for frame in scene.frames:
-        rows = [(phi, env, vj, ev.vector("forcing", phi, env, frame, frame))
-                for phi, env, vj in ev.rows("forcing", GENERAL_SHAPES, basis, frame)]
+        rows = ev.rows(GENERAL_SHAPES, ("forcing", basis, frame), ("forcing", frame, frame))
         for i, (j, up) in enumerate(zip(basis.members, ev.ups(frame, basis))):
             for phi, env, vj, vk in rows:
                 for x in up:
@@ -1021,7 +1017,7 @@ def _suite_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> Non
 def _suite_jinp_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     h = ev.h
     for frame in scene.frames:
-        rows = ev.rows("forcing", GENERAL_SHAPES, frame, frame)
+        rows = ev.rows(GENERAL_SHAPES, ("forcing", frame, frame))
         for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
             for phi, env, vec in rows:
                 report.check_eq(vec[i], h.meet_all(vec[x] for x in up), frame=frame, j=j, formula=phi, env=env)
@@ -1030,30 +1026,34 @@ def _suite_jinp_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -
 def _suite_constant_domain(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     h = ev.h
     for frame in scene.frames:
-        rows = [(phi, [ev.vector("forcing", phi, env, frame, frame) for env in ev.envs(phi)],
-                 ev.vector("forcing", closed, (), frame, frame)) for phi, closed in CLOSED_SHAPES]
+        rows = [(phi, ev.table("forcing", phi, frame, frame), ev.table("forcing", closed, frame, frame)[0])
+                for phi, closed in CLOSED_SHAPES]
         for i, j in enumerate(frame.members):
             for phi, vecs, closed in rows:
                 report.check_eq(h.meet_all(v[i] for v in vecs), closed[i], frame=frame, j=j, formula=phi)
 
 
 def _suite_iqc_soundness(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
-    h, basis = ev.h, ev.nuclei
+    h, basis, n = ev.h, ev.nuclei, ev.m.domain_size
+    # a rule's formulas are read at the environments of the whole rule
+    rules = [(conclusion, whole, [(f, _project(_fv(whole), _fv(f), n)) for f in premises + [conclusion]])
+             for premises, conclusion, whole in IQC_RULES]
     for frame in scene.frames:
-        axioms = ev.rows("forcing", IQC_AXIOMS, basis, frame)
+        axioms = ev.rows(IQC_AXIOMS, ("forcing", basis, frame))
         for i, j in enumerate(basis.members):
             for phi, env, vec in axioms:
                 report.check_eq(vec[i], h.top, frame=frame, j=j, formula=phi, env=env)
         # rule closure needs both monotonicity directions, so the
         # lower nucleus must itself be a frame member
-        rule_rows = [(conclusion, env, [ev.vector("forcing", f, env, frame, frame) for f in premises],
-                      ev.vector("forcing", conclusion, env, frame, frame))
-                     for premises, conclusion, whole in IQC_RULES for env in ev.envs(whole)]
-        quantifier_rows = [(conclusion, [ev.vector("forcing", premise, env, frame, frame) for env in ev.envs(premise)],
-                            ev.vector("forcing", conclusion, (), frame, frame))
+        rule_rows = []
+        for conclusion, whole, reads in rules:
+            tables = [(ev.table("forcing", f, frame, frame), at) for f, at in reads]
+            rule_rows += [(conclusion, env, *(t[at[x]] for t, at in tables)) for x, env in enumerate(ev.envs(whole))]
+        quantifier_rows = [(conclusion, ev.table("forcing", premise, frame, frame),
+                            ev.table("forcing", conclusion, frame, frame)[0])
                            for premise, conclusion in IQC_QUANTIFIER_RULES]
         for i, j in enumerate(frame.members):
-            for conclusion, env, premises, concl in rule_rows:
+            for conclusion, env, *premises, concl in rule_rows:
                 report.check_le(h.meet_all(v[i] for v in premises), concl[i],
                                 frame=frame, j=j, formula=conclusion, env=env)
             for conclusion, premises, concl in quantifier_rows:
@@ -1066,16 +1066,15 @@ def _suite_literal_class(report: SuiteReport, ev: SceneEval, scene: Scene) -> No
     frames = list(scene.frames)
     if all(f.members != (ident,) for f in frames):
         frames.append(LopFrame(h, (ident,)))
-    for phi in LITERAL_SHAPES:
-        for env in ev.envs(phi):
-            rhs = h.meet_all(v for frame in frames for v in ev.vector("forcing", phi, env, basis, frame))
-            report.check_eq(eval_formula(phi, ev.m, env), rhs, formula=phi, env=env)
+    for phi, env, *vecs in ev.rows(LITERAL_SHAPES, *(("forcing", basis, frame) for frame in frames)):
+        rhs = h.meet_all(v for vec in vecs for v in vec)
+        report.check_eq(eval_formula(phi, ev.m, env), rhs, formula=phi, env=env)
 
 
 def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
-    for frame in scene.frames[:3]:
+    for frame in scene.frames[:FORCINGL_FRAMES]:
         evl = ForcingLEval(ev.m, frame)
-        rows = ev.rows("forcing", SMALL_SHAPES, frame, frame)
+        rows = ev.rows(SMALL_SHAPES, ("forcing", frame, frame))
         for i, j in enumerate(frame.members):
             for phi, env, vec in rows:
                 uenv = tuple(sorted(
@@ -1087,8 +1086,7 @@ def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> N
 def _suite_kuroda_gg(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     basis = ev.nuclei
     for frame in scene.frames:
-        rows = [(phi, env, kv, ev.vector("forcing", phi, env, basis, frame))
-                for phi, env, kv in ev.rows("kuroda", GENERAL_SHAPES, basis, frame)]
+        rows = ev.rows(GENERAL_SHAPES, ("kuroda", basis, frame), ("forcing", basis, frame))
         for i, j in enumerate(basis.members):
             for phi, env, kv, fv in rows:
                 report.check_eq(j(kv[i]), fv[i], frame=frame, j=j, formula=phi, env=env)
@@ -1152,8 +1150,8 @@ def _dense_basis(ev: SceneEval) -> LopFrame:
 
 def _suite_dense_dne(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
     dense = _dense_basis(ev)
-    plain, at_j = eval_formula(DNE_ATOM, ev.m), ev.vector("gg", DNE_ATOM, (), dense)
-    rows = [(phi, ev.vector("gg", dne, (), dense), ev.cl_val(phi, dense)) for phi, dne in DNE_SHAPES]
+    plain, at_j = eval_formula(DNE_ATOM, ev.m), ev.table("gg", DNE_ATOM, dense)[0]
+    rows = [(phi, ev.table("gg", dne, dense)[0], ev.cl_val(phi, dense)) for phi, dne in DNE_SHAPES]
     for i, j in enumerate(dense.members):
         report.check_le(plain, at_j[i], item=1, j=j)
         for l, k in enumerate(dense.members):
@@ -1218,10 +1216,13 @@ SUITES = {
 }
 
 # The suites that check only some scenes: which scenes they keep, and the
-# note that says so, with the count of kept scenes.
+# note that says so, with the count of kept scenes.  The sheaf-term
+# evaluator is costly, so forcingL-equiv also reads only the first frames.
+FORCINGL_FRAMES = 3
 SCENE_FILTERS = {
     "forcingL-equiv": (lambda scene: scene.model.algebra.size <= 8 and scene.model.domain_size <= 2,
-                       "restricted to algebras with <= 8 elements and domains <= 2"),
+                       "restricted to algebras with <= 8 elements and domains <= 2, "
+                       f"and to the first {FORCINGL_FRAMES} frames of each"),
     "trp-ladder": (lambda scene: scene.two_valued, "level-0 ladder on two-valued-atom models"),
     "sufcon": (lambda scene: scene.two_valued, "level-0 condition on dense frames and two-valued-atom models"),
 }
@@ -1229,21 +1230,26 @@ SCENE_FILTERS = {
 
 def run_suite(suite: str, corpus: Corpus) -> SuiteReport:
     """Run the named suite over every scene of the corpus that its scene
-    filter keeps, with one `SceneEval` per scene."""
+    filter keeps, with one `SceneEval` per scene, and note the scenes
+    whose basis the suite read cut to `SCENE_NUCLEI` nuclei."""
     check = SUITES.get(suite)
     if check is None:
         raise HModelError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
     keep, note = SCENE_FILTERS.get(suite, (None, None))
     report = SuiteReport(suite)
     report.seed = corpus.seed
-    kept = 0
+    kept = cut = 0
     for scene in corpus.scenes:
         if keep is None or keep(scene):
             kept += 1
             report.scene, report.h = scene, scene.model.algebra
-            check(report, SceneEval(scene.model), scene)
+            ev = SceneEval(scene.model)
+            check(report, ev, scene)
+            cut += ev._nuclei is not None and len(scene.model.nuclei) > SCENE_NUCLEI
     if note is not None:
         report.notes.append(f"{note} ({kept} scenes)")
+    if cut:
+        report.notes.append(f"scene basis cut to the first {SCENE_NUCLEI} nuclei ({cut} scenes)")
     return report
 
 

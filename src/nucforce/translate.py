@@ -15,7 +15,8 @@ The current nucleus is named by guard depth (`_nucleus`: j, then k, k2,
 every output each node has at most one free nucleus variable: j at the
 root, and the guard's k throughout a GuardAll body.
 `hmodel.SceneEval` relies on this to evaluate a node at every nucleus of
-a basis as one vector, and a GuardAll body over the frame.
+a basis and every environment as one table, and a GuardAll body over the
+frame.
 """
 
 from __future__ import annotations

@@ -114,7 +114,8 @@ INTERNAL_SUITES = {
     "constant-domain": (14410, []),
     "maximal-collapse": (14438, []),
     "kuroda-gg": (247248, []),
-    "forcingL-equiv": (2914, ["restricted to algebras with <= 8 elements and domains <= 2 (57 scenes)"]),
+    "forcingL-equiv": (2914, ["restricted to algebras with <= 8 elements and domains <= 2, "
+                              "and to the first 3 frames of each (57 scenes)"]),
     "literal-class": (1080, []),
     "iqc-soundness": (194689, []),
 }

@@ -150,6 +150,16 @@ def _deep_json(tmp_path, name):
     return str(path)
 
 
+def _raw(tmp_path, name, data: bytes):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+# a 5,000-digit integer, more digits than Python converts by default
+LONG_INT = b"[" + b"9" * 5000 + b"]"
+
+
 def test_realize_verdict_exit_codes(capsys, tmp_path):
     oracle = _oracle_file(tmp_path)
     code, out, _ = run(capsys, "realize", "--code", "0", "--formula", "0 = 0",
@@ -318,6 +328,15 @@ MALFORMED_INPUTS = {
     "frame-nested-100000-deep": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
                                              "--oracle", _oracle_file(tmp), "--frame", _deep_json(tmp, "f.json")],
     "candidates-nested-100000-deep": lambda tmp: ["demo", "separation", "--candidates", _deep_json(tmp, "c.json")],
+    "poset-integer-5000-digits": lambda tmp: ["nuclei", "--poset", _raw(tmp, "p.json", LONG_INT)],
+    "model-integer-5000-digits": lambda tmp: ["check", "--suite", "loplem", "--corpus", _raw(tmp, "m.json", LONG_INT)],
+    "oracle-integer-5000-digits": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                               "--oracle", _raw(tmp, "o.json", LONG_INT)],
+    "frame-integer-5000-digits": lambda tmp: ["realize", "--code", "0", "--formula", "0 = 0",
+                                              "--oracle", _oracle_file(tmp), "--frame", _raw(tmp, "f.json", LONG_INT)],
+    "candidates-integer-5000-digits": lambda tmp: ["demo", "separation", "--candidates",
+                                                   _raw(tmp, "c.json", LONG_INT)],
+    "poset-not-text": lambda tmp: ["nuclei", "--poset", _raw(tmp, "p.json", b"\xff\xfe{}")],
 }
 
 
@@ -364,6 +383,20 @@ def test_two_valued_suites_keep_a_model_file_whose_atoms_are_two_valued(capsys, 
         report = json.loads(out)
         assert code == 0 and report["passed"] and report["checks"] == count
         assert report["notes"][0].endswith(f"({int(count > 0)} scenes)")
+
+
+def test_a_model_with_more_nuclei_than_the_scene_basis_notes_the_cut(capsys, tmp_path):
+    """A 5-point antichain has 2^5 = 32 nuclei: a suite that reads the
+    scene basis checks the first 16 of them and says so, one that reads
+    only the frames does not."""
+    model = _write(tmp_path, "m.json", {"poset": {"elements": list("abcde"), "covers": []}, "domain_size": 1,
+                                        "atoms": {"R": [3], "Q": [31]}, "frames": [["id"], ["id", "top"]]})
+    want = {"jclosed": (16 * 2 * 16, ["scene basis cut to the first 16 nuclei (1 scenes)"]),
+            "impfree-equiv": (2 * 7, [])}
+    for suite, (checks, notes) in want.items():
+        code, out, _ = run(capsys, "check", "--suite", suite, "--corpus", model)
+        report = json.loads(out)
+        assert code == 0 and report["passed"] and (report["checks"], report["notes"]) == (checks, notes), suite
 
 
 # Valid input files and the command that reads each, given the file and

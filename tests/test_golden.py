@@ -83,7 +83,7 @@ def _reports() -> dict:
     return json.loads(json.dumps(out))  # tuples become lists, as in the file
 
 
-_VECTOR = SceneEval.vector
+_TABLE = SceneEval.table
 
 
 def _bottoms(self, *args):
@@ -101,12 +101,13 @@ FAULTS = {
         ["constant-domain", "emn", "forcingL-equiv", "impfree-equiv", "iqc-soundness",
          "jclosed", "kuroda-gg", "maximal-collapse", "mndneg"]),
     "bottom-vectors": (
-        lambda: [mock.patch.object(SceneEval, "vector",
-                                   lambda self, style, phi, env, basis, frame=None: [self.h.bottom] * len(basis))],
+        lambda: [mock.patch.object(SceneEval, "table", lambda self, style, phi, basis, frame=None:
+                                   [[self.h.bottom] * len(basis) for _ in self.envs(phi)])],
         ["dense-dne", "literal-class", "trp-closure"]),
-    # every vector read backwards, and every nucleus applied one element up
+    # every vector of a table read backwards, and every nucleus applied one
+    # element up
     "reversed-vectors": (
-        lambda: [mock.patch.object(SceneEval, "vector", lambda self, *args: _VECTOR(self, *args)[::-1]),
+        lambda: [mock.patch.object(SceneEval, "table", lambda self, *args: [v[::-1] for v in _TABLE(self, *args)]),
                  mock.patch.object(Nucleus, "__call__", lambda self, a: self.table[(a + 1) % len(self.table)])],
         ["jinP-monotonicity", "loplem", "monotonicity"]),
     "bottom-mono": (

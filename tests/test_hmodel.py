@@ -98,19 +98,29 @@ def _outside_first_sixteen():
     raise AssertionError("no frame reaches past the first 16 nuclei")
 
 
-def _value(ev, style, phi, j, env=(), frame=None):
-    """The named translation of phi at j: one entry of a vector over the
-    frame, or over the singleton {j} when j is not a member."""
+def _envs(m, phi):
+    """Every environment over phi's sorted free variables, in product
+    order, built here rather than read from `SceneEval.envs`."""
+    fv = sorted(free_vars(phi))
+    return [tuple(zip(fv, point)) for point in product(m.domain, repeat=len(fv))]
+
+
+def _value(ev, style, phi, j, frame=None):
+    """The named translation of phi at j, one value per environment in
+    `_envs` order: entry j of each row of a table over the frame, or over
+    the singleton {j} when j is not a member."""
     basis = frame if frame is not None and j in frame.members else LopFrame(ev.h, (j,))
-    return ev.vector(style, phi, env, basis, frame)[basis.members.index(j)]
+    i = basis.members.index(j)
+    return [row[i] for row in ev.table(style, phi, basis, frame)]
 
 
 def test_scene_eval_matches_translate_then_eval_m():
-    """The vector evaluator must agree, entry by entry and for every
-    translation, with the unmemoized reference: translate syntactically,
-    then `eval_m` at each nucleus.  Vectors are compared over the scene
-    basis and over the frame; the transfer and closure matrices against
-    the biimplications of `eval_m` values computed here."""
+    """The table evaluator must agree, row by row, entry by entry and for
+    every translation, with the unmemoized reference: translate
+    syntactically, then `eval_m` at each nucleus and each environment.
+    Tables are compared over the scene basis and over the frame; the
+    transfer and closure matrices against the biimplications of `eval_m`
+    values computed here."""
     small = builtin_corpus("builtin:small")
     cases = [(scene, scene.frames[:2]) for scene in small.scenes[:6]]
     cases.append(_outside_first_sixteen())
@@ -120,17 +130,16 @@ def test_scene_eval_matches_translate_then_eval_m():
         ev = SceneEval(m)
         basis = ev.nuclei
         assert basis.members == m.nuclei[:16]
-        envs = [(("x", d),) for d in m.domain]
         for frame in frames:
             for src in SHAPES:
                 phi = parse(src)
+                envs = _envs(m, phi)
                 for style, translate in TRANSLATIONS.items():
                     t = translate(phi)
-                    for env in envs:
-                        for b in (basis, frame):
-                            want = [eval_m(t, m, env, {"j": j}, {"P": frame}) for j in b.members]
-                            assert ev.vector(style, phi, env, b, frame) == want, (style, src, env)
-                            assert [_value(ev, style, phi, j, env, frame) for j in b.members] == want
+                    for b in (basis, frame):
+                        want = [[eval_m(t, m, env, {"j": j}, {"P": frame}) for j in b.members] for env in envs]
+                        assert ev.table(style, phi, b, frame) == want, (style, src)
+                        assert [_value(ev, style, phi, j, frame) for j in b.members] == [list(c) for c in zip(*want)]
 
                 gg = TRANSLATIONS["gg"](phi)
                 at = {(j, env): eval_m(gg, m, env, {"j": j}, {}) for j in basis.members + frame.members
@@ -154,9 +163,7 @@ def test_gg_with_identity_nucleus_is_plain_value():
     jid = identity_nucleus(m.algebra)
     for src in SHAPES:
         phi = parse(src)
-        for d in m.domain:
-            env = (("x", d),)
-            assert _value(ev, "gg", phi, jid, env) == eval_formula(phi, m, env)
+        assert _value(ev, "gg", phi, jid) == [eval_formula(phi, m, env) for env in _envs(m, phi)]
 
 
 def test_forcing_on_singleton_frame_is_gg():
@@ -166,9 +173,7 @@ def test_forcing_on_singleton_frame_is_gg():
         frame = LopFrame(m.algebra, (j,))
         for src in SHAPES:
             phi = parse(src)
-            for d in m.domain:
-                env = (("x", d),)
-                assert _value(ev, "forcing", phi, j, env, frame) == _value(ev, "gg", phi, j, env)
+            assert _value(ev, "forcing", phi, j, frame) == _value(ev, "gg", phi, j)
 
 
 def test_top_nucleus_forces_everything():
@@ -177,7 +182,7 @@ def test_top_nucleus_forces_everything():
     jt = top_nucleus(m.algebra)
     frame = LopFrame(m.algebra, (jt,))
     for src in SHAPES:
-        assert _value(ev, "forcing", parse(src), jt, (("x", 0), ("y", 0)), frame) == m.algebra.top
+        assert set(_value(ev, "forcing", parse(src), jt, frame)) == {m.algebra.top}
 
 
 def test_forcing_l_conjunctions_match_the_forcing_translation_at_singletons():
@@ -336,13 +341,13 @@ def test_suite_report_serialises():
 
 
 def test_failing_suites_record_the_first_twenty_witnesses(monkeypatch):
-    """Every vector of a translated formula reads bottom: the suites must
+    """Every table of a translated formula reads bottom: the suites must
     report failures with full witnesses, keep at most 20, and still count
     every check."""
     corpus = builtin_corpus("builtin:small")
     checks = {name: run_suite(name, corpus).checks for name in ("jclosed", "dense-dne", "trp-closure")}
-    monkeypatch.setattr(SceneEval, "vector",
-                        lambda self, style, phi, env, basis, frame=None: [self.h.bottom] * len(basis))
+    monkeypatch.setattr(SceneEval, "table", lambda self, style, phi, basis, frame=None:
+                        [[self.h.bottom] * len(basis) for _ in self.envs(phi)])
 
     # the first scene: one point, two-element algebra, nuclei id = [0, 1]
     # and top = [1, 1], frames [id], [top], [id, top], domain {0}; bottom

@@ -3,7 +3,7 @@ unmemoized `eval_m` on generated formulas, the honesty and bounds of the
 process-wide compile caches, and the number of node tables it builds."""
 
 import signal
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nucforce import hmodel
-from nucforce.formula import BOT, And, Atom, Exists, Forall, Imp, Mod, Or, Var, parse
+from nucforce.formula import BOT, And, Atom, Exists, Forall, Imp, Mod, Or, Var, free_vars, parse
 from nucforce.hmodel import (
     COMPILE_CACHE_SIZE,
     NODE_CACHE_SIZE,
@@ -37,8 +37,17 @@ def _evaluator(scene) -> SceneEval:
     return EVALUATORS[scene.model.name]
 
 
-def _reference(t, m, env, basis, frame) -> list[int]:
-    return [eval_m(t, m, env, {"j": j}, {"P": frame}) for j in basis.members]
+def _envs(m, phi) -> list[tuple]:
+    """Every environment over phi's sorted free variables, in product
+    order, built here rather than read from `SceneEval.envs`."""
+    fv = sorted(free_vars(phi))
+    return [tuple(zip(fv, point)) for point in product(m.domain, repeat=len(fv))]
+
+
+def _reference(t, phi, m, basis, frame) -> list[list[int]]:
+    """`eval_m` of t, a translation of phi, at every nucleus of the basis,
+    one row per environment in `_envs` order."""
+    return [[eval_m(t, m, env, {"j": j}, {"P": frame}) for j in basis.members] for env in _envs(m, phi)]
 
 
 VARS = ("x", "y")
@@ -50,40 +59,30 @@ FORMULAS = st.recursive(ATOMS, lambda sub: st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(phi=FORMULAS, scene=st.integers(0, len(SCENES) - 1), frame=st.integers(0, 3),
-       points=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
-@example(phi=parse("forall x. exists x. R(x)"), scene=0, frame=0, points=(0, 1, 0))
-@example(phi=parse("forall y. R(x)"), scene=1, frame=1, points=(1, 0, 0))
-@example(phi=parse("exists y. (R(x) -> forall x. Q(y))"), scene=2, frame=2, points=(1, 1, 1))
-@example(phi=parse("forall x. forall y. (R(x) -> Q(y))"), scene=3, frame=2, points=(0, 0, 0))
-@example(phi=parse("(exists x. R(x)) \\/ ~forall y. Q(y)"), scene=4, frame=1, points=(2, 1, 0))
+@given(phi=FORMULAS, scene=st.integers(0, len(SCENES) - 1), frame=st.integers(0, 3))
+@example(phi=parse("forall x. exists x. R(x)"), scene=0, frame=0)
+@example(phi=parse("forall y. R(x)"), scene=1, frame=1)
+@example(phi=parse("exists y. (R(x) -> forall x. Q(y))"), scene=2, frame=2)
+@example(phi=parse("forall x. forall y. (R(x) -> Q(y))"), scene=3, frame=2)
+@example(phi=parse("(exists x. R(x)) \\/ ~forall y. Q(y)"), scene=4, frame=1)
 # the bound variable first, in the middle and last of three free ones
-@example(phi=parse("forall x. (R(x) /\\ Q(y) /\\ R(z))"), scene=9, frame=0, points=(2, 1, 0))
-@example(phi=parse("exists y. (R(x) /\\ Q(y) /\\ R(z))"), scene=10, frame=1, points=(1, 2, 0))
-@example(phi=parse("forall z. (R(x) -> Q(y) \\/ R(z))"), scene=7, frame=2, points=(0, 2, 1))
-def test_vector_equals_translate_then_eval_m(phi, scene, frame, points):
-    """Every style, every entry, over the scene basis and over the frame,
-    in an environment that binds x, y and an unused z whatever phi's free
-    variables are."""
+@example(phi=parse("forall x. (R(x) /\\ Q(y) /\\ R(z))"), scene=9, frame=0)
+@example(phi=parse("exists y. (R(x) /\\ Q(y) /\\ R(z))"), scene=10, frame=1)
+@example(phi=parse("forall z. (R(x) -> Q(y) \\/ R(z))"), scene=7, frame=2)
+def test_vector_equals_translate_then_eval_m(phi, scene, frame):
+    """Every style, every row of the table and every entry, over the scene
+    basis and over the frame: row x holds the values at the x-th
+    environment over phi's sorted free variables, in product order, which
+    is also the order of `envs`."""
     scene = SCENES[scene % len(SCENES)]
     m = scene.model
     frame = scene.frames[frame % len(scene.frames)]
     ev = _evaluator(scene)
-    env = tuple((v, d % m.domain_size) for v, d in zip(("x", "y", "z"), points))
+    assert ev.envs(phi) == _envs(m, phi)
     for style, translate in TRANSLATIONS.items():
         t = translate(phi)
         for basis in (ev.nuclei, frame):
-            assert ev.vector(style, phi, env, basis, frame) == _reference(t, m, env, basis, frame), style
-
-
-def test_vector_rejects_unbound_and_out_of_domain_variables():
-    scene = SCENES[0]
-    ev = SceneEval(scene.model)
-    phi = parse("R(x) -> Q(y)")
-    with pytest.raises(HModelError, match="unbound variable y"):
-        ev.vector("forcing", phi, (("x", 0),), ev.nuclei, scene.frames[0])
-    with pytest.raises(HModelError, match="outside"):
-        ev.vector("gg", phi, (("x", 0), ("y", scene.model.domain_size)), ev.nuclei)
+            assert ev.table(style, phi, basis, frame) == _reference(t, phi, m, basis, frame), style
 
 
 def test_patched_translation_changes_vector():
@@ -92,15 +91,15 @@ def test_patched_translation_changes_vector():
     real one is read again once the patch is gone."""
     m = SMALL.scenes[6].model  # a 2-point poset, where [j](R \/ ~R) differs from its gg translation
     ev = SceneEval(m)
-    phi, env, basis = parse("R(x) \\/ ~R(x)"), (("x", 0),), ev.nuclei
-    real = ev.vector("gg", phi, env, basis)
-    assert real == _reference(TRANSLATIONS["gg"](phi), m, env, basis, None)
+    phi, basis = parse("R(x) \\/ ~R(x)"), ev.nuclei
+    real = ev.table("gg", phi, basis)
+    assert real == _reference(TRANSLATIONS["gg"](phi), phi, m, basis, None)
     with mock.patch.dict(TRANSLATIONS, {"gg": lambda f: Mod("j", f)}):
-        patched = ev.vector("gg", phi, env, basis)
-        fresh = SceneEval(m).vector("gg", phi, env, basis)
-    assert patched == fresh == _reference(Mod("j", phi), m, env, basis, None)
+        patched = ev.table("gg", phi, basis)
+        fresh = SceneEval(m).table("gg", phi, basis)
+    assert patched == fresh == _reference(Mod("j", phi), phi, m, basis, None)
     assert patched != real
-    assert ev.vector("gg", phi, env, basis) == real
+    assert ev.table("gg", phi, basis) == real
 
 
 def test_compile_caches_stay_within_their_bounds():
@@ -118,14 +117,15 @@ def test_compile_caches_stay_within_their_bounds():
     node_misses = hmodel._node.cache_info().misses
     first = hmodel._compiled(TRANSLATIONS["gg"], formulas[0])
     for phi in formulas:
-        assert ev.vector("gg", phi, (), basis) == _reference(TRANSLATIONS["gg"](phi), m, (), basis, None)
+        assert ev.table("gg", phi, basis) == _reference(TRANSLATIONS["gg"](phi), phi, m, basis, None)
     assert hmodel._compiled.cache_info().currsize <= COMPILE_CACHE_SIZE
     assert hmodel._node.cache_info().currsize <= NODE_CACHE_SIZE
     assert hmodel._node.cache_info().misses - node_misses >= 3 * count > NODE_CACHE_SIZE
     evals = ev.node_evals
     again = hmodel._compiled(TRANSLATIONS["gg"], formulas[0])
     assert again is not first
-    assert ev.vector("gg", formulas[0], (), basis) == _reference(TRANSLATIONS["gg"](formulas[0]), m, (), basis, None)
+    phi = formulas[0]
+    assert ev.table("gg", phi, basis) == _reference(TRANSLATIONS["gg"](phi), phi, m, basis, None)
     assert ev.node_evals == evals + 3
 
 
