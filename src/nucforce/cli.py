@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, AlgebraError, NucleusError, FormulaError, HModelError,
-            RealizabilityError, OSError, json.JSONDecodeError) as exc:
+            RealizabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

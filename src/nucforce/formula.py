@@ -429,17 +429,17 @@ def read_numeral(text: str) -> int:
 
 
 def read_json(path: str, error: type[Exception]):
-    """The JSON document in the file at path, refusing with `error` one
-    nested deeper than the decoder recurses, one that is not text, and
-    one holding an integer longer than Python converts (4,300 digits by
-    default).  A syntax error stays a `json.JSONDecodeError`."""
+    """The JSON document in the file at path.  A file that is not valid
+    JSON, nests deeper than the decoder recurses, is not text, or holds an
+    integer longer than Python converts (4,300 digits by default) is
+    refused with `error`, its message led by the path."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise error(f"{path}: JSON nests too deeply to read") from None
-        except json.JSONDecodeError:
-            raise
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
         except ValueError:  # the only other ValueError the decoder raises

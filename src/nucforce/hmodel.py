@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -188,7 +188,7 @@ def eval_m(mphi: Formula, m: HModel, env: Env, nbind: dict[str, Nucleus], fbind:
     raise HModelError(f"cannot evaluate node {mphi!r}")
 
 
-SCENE_NUCLEI = 16  # suites that range over a scene's nuclei take this many, and say so
+MAX_BASIS_NUCLEI = 32  # scene bases refuse more; 2^5, the most nuclei of any poset on 5 points
 
 # Bounds of the process-wide caches of compiled translations, which hold
 # no model, basis or budget; all suites and searches on builtin:default
@@ -282,9 +282,9 @@ class SceneEval:
     P bound to `frame`, the number `eval_m` computes; a dedicated test
     compares every entry.  A basis is a `LopFrame`, whose hash is
     computed once.  Suites that range over a scene's nuclei use `nuclei`,
-    the model's first `SCENE_NUCLEI` nuclei, built on first use; frame
-    predicates and the countermodel search use the frame itself, so a
-    basis is no larger than what its caller reads.
+    every nucleus of the model, built on first use and refused past
+    `MAX_BASIS_NUCLEI`; frame predicates and the countermodel search use
+    the frame itself, so a basis is no larger than what its caller reads.
 
     A translation is compiled once per process: `_compiled` maps the
     translation function and phi to a root in an intern table (`_node`)
@@ -330,16 +330,17 @@ class SceneEval:
         self._vec: dict = {}
         self._ups: dict = {}
         self._envs: dict = {}
-        self._nuclei: LopFrame | None = None
         self.node_evals = 0
 
     # -------------------------------------------------- base evaluators
-    @property
+    @cached_property
     def nuclei(self) -> LopFrame:
-        """The scene basis: the model's first `SCENE_NUCLEI` nuclei."""
-        if self._nuclei is None:
-            self._nuclei = LopFrame(self.h, self.m.nuclei[:SCENE_NUCLEI])
-        return self._nuclei
+        """The scene basis: every nucleus of the model, one object per
+        evaluator (memos key on it), refused past `MAX_BASIS_NUCLEI`."""
+        count = len(self.m.nuclei)
+        if count > MAX_BASIS_NUCLEI:
+            raise HModelError(f"{self.m.name}: {count} nuclei exceed the scene basis bound of {MAX_BASIS_NUCLEI}")
+        return LopFrame(self.h, self.m.nuclei)
 
     def ups(self, frame: LopFrame, basis: LopFrame) -> list[list[int]]:
         """For each basis entry, the indices of the frame members above it
@@ -430,10 +431,6 @@ class SceneEval:
         """Carrier value of the pointwise order formula between nuclei."""
         h = self.h
         return h.meet_all(h.imp[j(p)][k(p)] for p in h.carrier)
-
-    def eq_val(self, j: Nucleus, k: Nucleus) -> int:
-        h = self.h
-        return h.meet_all(self.biimp(j(p), k(p)) for p in h.carrier)
 
     # ------------------------------------------------- named predicates
     # Each reads the whole tables of the translation over the frame, or
@@ -989,7 +986,8 @@ def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, scene: Scene) ->
     for frame in scene.frames:
         rows = ev.rows(SMALL_SHAPES, ("forcing", frame, frame), ("gg", frame, None))
         for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
-            ante = h.meet_all(ev.eq_val(j, frame.members[x]) for x in up)
+            # for k >= j, j <-> k is k <= j
+            ante = h.meet_all(ev.le_val(frame.members[x], j) for x in up)
             for phi, env, fc, gg in rows:
                 report.check_le(ante, ev.biimp(fc[i], gg[i]), frame=frame, j=j, formula=phi, env=env)
 
@@ -1215,14 +1213,15 @@ SUITES = {
     "sufcon": _suite_sufcon,
 }
 
-# The suites that check only some scenes: which scenes they keep, and the
-# note that says so, with the count of kept scenes.  The sheaf-term
-# evaluator is costly, so forcingL-equiv also reads only the first frames.
+# The suites that check only some scenes or frames: which scenes they keep
+# (None: all), and the note that says so, with the count of kept scenes.
+# The sheaf-term evaluator is costly, so forcingL-equiv reads only the first frames.
 FORCINGL_FRAMES = 3
 SCENE_FILTERS = {
     "forcingL-equiv": (lambda scene: scene.model.algebra.size <= 8 and scene.model.domain_size <= 2,
                        "restricted to algebras with <= 8 elements and domains <= 2, "
                        f"and to the first {FORCINGL_FRAMES} frames of each"),
+    "trp-imp-mn": (None, "on frames whose members are all dense"),
     "trp-ladder": (lambda scene: scene.two_valued, "level-0 ladder on two-valued-atom models"),
     "sufcon": (lambda scene: scene.two_valued, "level-0 condition on dense frames and two-valued-atom models"),
 }
@@ -1230,26 +1229,23 @@ SCENE_FILTERS = {
 
 def run_suite(suite: str, corpus: Corpus) -> SuiteReport:
     """Run the named suite over every scene of the corpus that its scene
-    filter keeps, with one `SceneEval` per scene, and note the scenes
-    whose basis the suite read cut to `SCENE_NUCLEI` nuclei."""
+    filter keeps, with one `SceneEval` per scene.  A suite that reads a
+    scene's nuclei reads all of them, or the scene is refused (see
+    `SceneEval.nuclei`)."""
     check = SUITES.get(suite)
     if check is None:
         raise HModelError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
     keep, note = SCENE_FILTERS.get(suite, (None, None))
     report = SuiteReport(suite)
     report.seed = corpus.seed
-    kept = cut = 0
+    kept = 0
     for scene in corpus.scenes:
         if keep is None or keep(scene):
             kept += 1
             report.scene, report.h = scene, scene.model.algebra
-            ev = SceneEval(scene.model)
-            check(report, ev, scene)
-            cut += ev._nuclei is not None and len(scene.model.nuclei) > SCENE_NUCLEI
+            check(report, SceneEval(scene.model), scene)
     if note is not None:
         report.notes.append(f"{note} ({kept} scenes)")
-    if cut:
-        report.notes.append(f"scene basis cut to the first {SCENE_NUCLEI} nuclei ({cut} scenes)")
     return report
 
 

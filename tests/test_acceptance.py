@@ -126,7 +126,7 @@ CLOSURE_SUITES = {
     "mndneg": (8460, []),
     "trp-closure": (467460, []),
     "dense-dne": (15220, []),
-    "trp-imp-mn": (15540, []),
+    "trp-imp-mn": (15540, ["on frames whose members are all dense (120 scenes)"]),
     "trp-ladder": (6888, ["level-0 ladder on two-valued-atom models (48 scenes)"]),
     "sufcon": (1372, ["level-0 condition on dense frames and two-valued-atom models (48 scenes)"]),
 }

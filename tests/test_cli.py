@@ -385,18 +385,37 @@ def test_two_valued_suites_keep_a_model_file_whose_atoms_are_two_valued(capsys, 
         assert report["notes"][0].endswith(f"({int(count > 0)} scenes)")
 
 
-def test_a_model_with_more_nuclei_than_the_scene_basis_notes_the_cut(capsys, tmp_path):
+def _antichain_model(tmp_path, points):
+    """A model file on an antichain of the given points, which has 2^points
+    nuclei, with the identity frame and the frame {id, top}."""
+    return _write(tmp_path, "m.json", {"poset": {"elements": [f"p{i}" for i in range(points)], "covers": []},
+                                       "domain_size": 1, "atoms": {"R": [3], "Q": [2 ** points - 1]},
+                                       "frames": [["id"], ["id", "top"]]})
+
+
+def test_a_model_with_as_many_nuclei_as_the_scene_basis_bound_reads_them_all(capsys, tmp_path):
     """A 5-point antichain has 2^5 = 32 nuclei: a suite that reads the
-    scene basis checks the first 16 of them and says so, one that reads
-    only the frames does not."""
-    model = _write(tmp_path, "m.json", {"poset": {"elements": list("abcde"), "covers": []}, "domain_size": 1,
-                                        "atoms": {"R": [3], "Q": [31]}, "frames": [["id"], ["id", "top"]]})
-    want = {"jclosed": (16 * 2 * 16, ["scene basis cut to the first 16 nuclei (1 scenes)"]),
-            "impfree-equiv": (2 * 7, [])}
-    for suite, (checks, notes) in want.items():
+    scene basis checks every one of them, one that reads only the frames
+    checks the frames."""
+    model = _antichain_model(tmp_path, 5)
+    for suite, checks in {"jclosed": 32 * 2 * 16, "impfree-equiv": 2 * 7}.items():
         code, out, _ = run(capsys, "check", "--suite", suite, "--corpus", model)
         report = json.loads(out)
-        assert code == 0 and report["passed"] and (report["checks"], report["notes"]) == (checks, notes), suite
+        assert code == 0 and report["passed"] and (report["checks"], report["notes"]) == (checks, []), suite
+
+
+def test_a_model_with_more_nuclei_than_the_scene_basis_bound_is_refused(capsys, tmp_path):
+    """A 6-point antichain has 64 nuclei: a suite that reads the scene
+    basis refuses the model rather than read part of it, and one that
+    reads only the frames still runs."""
+    model = _antichain_model(tmp_path, 6)
+    for suite in ("jclosed", "trp-closure"):
+        code, out, err = run(capsys, "check", "--suite", suite, "--corpus", model)
+        assert (code, out) == (2, ""), suite
+        assert err == f"error: {model}: 64 nuclei exceed the scene basis bound of 32\n", suite
+    code, out, _ = run(capsys, "check", "--suite", "impfree-equiv", "--corpus", model)
+    report = json.loads(out)
+    assert code == 0 and report["passed"] and report["checks"] == 2 * 7
 
 
 # Valid input files and the command that reads each, given the file and
@@ -415,6 +434,18 @@ VALID_FILES = {
                       "edges": [[0, 1]]},
                      lambda path, oracle: REALIZE + ["--oracle", oracle, "--frame", path]),
 }
+
+
+@pytest.mark.parametrize("loader", sorted(VALID_FILES) + ["candidates"])
+def test_a_truncated_json_file_exits_2_naming_its_path(capsys, tmp_path, loader):
+    path = _raw(tmp_path, "t.json", b'{"poset": ')
+    argv = (["demo", "separation", "--candidates", path] if loader == "candidates"
+            else VALID_FILES[loader][1](path, _oracle_file(tmp_path)))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: Expecting value: line 1 column 11 (char 10)\n"
+
+
 OTHER_TYPES = [None, True, "x", 1.5, [], {}, [[0, 1]], {"0": 1}, ["a", "b", "c"]]
 OUT_OF_RANGE = [-7, -1, 0, 3, 999]
 

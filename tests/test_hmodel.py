@@ -18,6 +18,7 @@ from nucforce.nucleus import (
 from nucforce.hmodel import (
     IMPFREE_SHAPES,
     LITERAL_SHAPES,
+    MAX_BASIS_NUCLEI,
     ForcingLEval,
     HModel,
     HModelError,
@@ -89,7 +90,7 @@ SHAPES = [
 
 def _outside_first_sixteen():
     """A 5-point scene with a frame member past the first 16 nuclei, so
-    that a guard's frame is not part of the scene basis."""
+    that a guard's frame is not part of the sub-basis of those 16."""
     for scene in build_corpus(point_bound=5).scenes:
         first = scene.model.nuclei[:16]
         frames = [f for f in scene.frames if any(k not in first for k in f.members)]
@@ -118,9 +119,11 @@ def test_scene_eval_matches_translate_then_eval_m():
     """The table evaluator must agree, row by row, entry by entry and for
     every translation, with the unmemoized reference: translate
     syntactically, then `eval_m` at each nucleus and each environment.
-    Tables are compared over the scene basis and over the frame; the
-    transfer and closure matrices against the biimplications of `eval_m`
-    values computed here."""
+    Tables are compared over the scene basis (every nucleus), over the
+    sub-basis of the first 16 nuclei, which on the 5-point scene leaves
+    out a member of the guard's frame, and over the frame; the transfer
+    and closure matrices against the biimplications of `eval_m` values
+    computed here."""
     small = builtin_corpus("builtin:small")
     cases = [(scene, scene.frames[:2]) for scene in small.scenes[:6]]
     cases.append(_outside_first_sixteen())
@@ -128,15 +131,15 @@ def test_scene_eval_matches_translate_then_eval_m():
         m = scene.model
         h = m.algebra
         ev = SceneEval(m)
-        basis = ev.nuclei
-        assert basis.members == m.nuclei[:16]
+        basis, sub = ev.nuclei, LopFrame(h, m.nuclei[:16])
+        assert basis.members == m.nuclei
         for frame in frames:
             for src in SHAPES:
                 phi = parse(src)
                 envs = _envs(m, phi)
                 for style, translate in TRANSLATIONS.items():
                     t = translate(phi)
-                    for b in (basis, frame):
+                    for b in (basis, sub, frame):
                         want = [[eval_m(t, m, env, {"j": j}, {"P": frame}) for j in b.members] for env in envs]
                         assert ev.table(style, phi, b, frame) == want, (style, src)
                         assert [_value(ev, style, phi, j, frame) for j in b.members] == [list(c) for c in zip(*want)]
@@ -148,7 +151,7 @@ def test_scene_eval_matches_translate_then_eval_m():
                 def biimp(a, b):
                     return h.meet[h.imp[a][b]][h.imp[b][a]]
 
-                for rows, cols in ((basis, basis), (frame, frame), (basis, frame)):
+                for rows, cols in ((basis, basis), (frame, frame), (basis, frame), (sub, frame)):
                     trp = [[h.meet_all(biimp(k(at[j, env]), at[k, env]) for env in envs) for k in cols.members]
                            for j in rows.members]
                     cl = [[h.meet_all(biimp(at[j, env], k(at[j, env])) for env in envs) for k in cols.members]
@@ -274,6 +277,25 @@ def test_builtin_corpora_shape():
     assert len(default.scenes) == 24 * 5
     with pytest.raises(HModelError):
         builtin_corpus("builtin:nope")
+
+
+def test_builtin_scenes_fit_the_scene_basis_bound():
+    """A builtin scene past the bound would make every suite that reads
+    the scene basis refuse the corpus."""
+    for name in ("builtin:small", "builtin:default"):
+        assert max(len(scene.model.nuclei) for scene in builtin_corpus(name).scenes) <= MAX_BASIS_NUCLEI, name
+
+
+def test_order_value_of_nuclei_above_is_their_equivalence():
+    """For j <= k, the carrier value of k <= j is the meet over p of
+    j(p) <-> k(p), which maximal-collapse reads."""
+    for scene in builtin_corpus("builtin:small").scenes:
+        m = scene.model
+        h, ev = m.algebra, SceneEval(m)
+        for j, k in product(m.nuclei, repeat=2):
+            if all(h.le(j(p), k(p)) for p in h.carrier):
+                eq = h.meet_all(h.meet[h.imp[j(p)][k(p)]][h.imp[k(p)][j(p)]] for p in h.carrier)
+                assert ev.le_val(k, j) == eq, (m.name, j, k)
 
 
 def test_corpus_is_deterministic_for_a_seed():
