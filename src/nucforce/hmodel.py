@@ -12,10 +12,9 @@ a basis at once, one memoized table per compiled node over all of its
 environments, and is what the suites and the countermodel search read.
 
 Each suite checks one property family.  `run_suite` is the one walk over
-a generated corpus of models: it keeps the scenes the suite's filter
-admits, builds one `SceneEval` per scene and hands it to the suite's
-per-scene checks, which record failures with witnesses in a
-`SuiteReport`.
+a generated corpus of models: per scene it builds one `SceneEval` and
+hands it, with the frames the suite reads, to the suite's per-scene
+checks, which record failures with witnesses in a `SuiteReport`.
 
 Quantifiers over truth values and over nuclei are instantiated at the
 carrier and at the enumerated nuclei respectively, so every suite
@@ -28,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb
 
 from .algebra import FinPoset, HeytingAlg, poset_from_json, upset_algebra
@@ -896,7 +895,7 @@ MAX_FAILURES = 20  # failures recorded per report; later ones are only counted a
 class SuiteReport:
     """The outcome of one suite, and the bookkeeping its checks share.
 
-    `run_suite` points the report at each scene in turn: `scene`, its
+    `run_suite` points the report at each scene it keeps: `scene`, its
     algebra `h`, and the corpus `seed`.  A check gets its two values and
     the raw witness fields (nuclei, frames, formulas, environments).
     Only a failure that is recorded, at most `MAX_FAILURES` of them, is
@@ -958,8 +957,8 @@ def _wit(scene: Scene, **extra) -> dict:
     return out
 
 
-# Each suite is a function of one scene: `run_suite` owns the walk over
-# the corpus and hands it the report, a fresh `SceneEval` and the scene.
+# Each suite is a function of one scene: `run_suite` owns the walk over the
+# corpus and hands it the report, a fresh `SceneEval` and the frames it reads.
 # The formulas a suite derives from the shapes (negations, closures,
 # compounds of a pair) are built once, at import, so the evaluator's memo
 # tables find each one by identity instead of comparing fresh trees.  Per
@@ -967,7 +966,7 @@ def _wit(scene: Scene, **extra) -> dict:
 # walks them in the order of its checks: nucleus, then formula, then
 # environment, so check counts and the recorded failures follow that order.
 
-def _suite_loplem(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_loplem(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     m, h = ev.m, ev.h
     rng = random.Random(f"{report.seed}:{m.name}:loplem")
     subsets = [tuple(rng.choice(tuple(h.carrier)) for _ in m.domain) for _ in range(4)]
@@ -981,9 +980,9 @@ def _suite_loplem(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
             report.check_le(h.join_all(j(a) for a in v), j(h.join_all(v)), item=4, j=j, subset=v)
 
 
-def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h = ev.h
-    for frame in scene.frames:
+    for frame in frames:
         rows = ev.rows(SMALL_SHAPES, ("forcing", frame, frame), ("gg", frame, None))
         for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
             # for k >= j, j <-> k is k <= j
@@ -992,9 +991,9 @@ def _suite_maximal_collapse(report: SuiteReport, ev: SceneEval, scene: Scene) ->
                 report.check_le(ante, ev.biimp(fc[i], gg[i]), frame=frame, j=j, formula=phi, env=env)
 
 
-def _suite_jclosed(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_jclosed(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     basis = ev.nuclei
-    for frame in scene.frames:
+    for frame in frames:
         rows = ev.rows(GENERAL_SHAPES, ("forcing", basis, frame))
         for i, j in enumerate(basis.members):
             for phi, env, vec in rows:
@@ -1002,9 +1001,9 @@ def _suite_jclosed(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
                 report.check_eq(j(v), v, frame=frame, j=j, formula=phi, env=env)
 
 
-def _suite_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_monotonicity(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     basis = ev.nuclei
-    for frame in scene.frames:
+    for frame in frames:
         rows = ev.rows(GENERAL_SHAPES, ("forcing", basis, frame), ("forcing", frame, frame))
         for i, (j, up) in enumerate(zip(basis.members, ev.ups(frame, basis))):
             for phi, env, vj, vk in rows:
@@ -1012,18 +1011,18 @@ def _suite_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> Non
                     report.check_le(vj[i], vk[x], frame=frame, j=j, k=frame.members[x], formula=phi, env=env)
 
 
-def _suite_jinp_monotonicity(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_jinp_monotonicity(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h = ev.h
-    for frame in scene.frames:
+    for frame in frames:
         rows = ev.rows(GENERAL_SHAPES, ("forcing", frame, frame))
         for i, (j, up) in enumerate(zip(frame.members, ev.ups(frame, frame))):
             for phi, env, vec in rows:
                 report.check_eq(vec[i], h.meet_all(vec[x] for x in up), frame=frame, j=j, formula=phi, env=env)
 
 
-def _suite_constant_domain(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_constant_domain(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h = ev.h
-    for frame in scene.frames:
+    for frame in frames:
         rows = [(phi, ev.table("forcing", phi, frame, frame), ev.table("forcing", closed, frame, frame)[0])
                 for phi, closed in CLOSED_SHAPES]
         for i, j in enumerate(frame.members):
@@ -1031,12 +1030,12 @@ def _suite_constant_domain(report: SuiteReport, ev: SceneEval, scene: Scene) -> 
                 report.check_eq(h.meet_all(v[i] for v in vecs), closed[i], frame=frame, j=j, formula=phi)
 
 
-def _suite_iqc_soundness(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_iqc_soundness(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h, basis, n = ev.h, ev.nuclei, ev.m.domain_size
     # a rule's formulas are read at the environments of the whole rule
     rules = [(conclusion, whole, [(f, _project(_fv(whole), _fv(f), n)) for f in premises + [conclusion]])
              for premises, conclusion, whole in IQC_RULES]
-    for frame in scene.frames:
+    for frame in frames:
         axioms = ev.rows(IQC_AXIOMS, ("forcing", basis, frame))
         for i, j in enumerate(basis.members):
             for phi, env, vec in axioms:
@@ -1058,19 +1057,18 @@ def _suite_iqc_soundness(report: SuiteReport, ev: SceneEval, scene: Scene) -> No
                 report.check_le(h.meet_all(v[i] for v in premises), concl[i], frame=frame, j=j, formula=conclusion)
 
 
-def _suite_literal_class(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_literal_class(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h, basis = ev.h, ev.nuclei
     ident = identity_nucleus(h)
-    frames = list(scene.frames)
     if all(f.members != (ident,) for f in frames):
-        frames.append(LopFrame(h, (ident,)))
+        frames = [*frames, LopFrame(h, (ident,))]  # a copy: the scene's own list stays as it is
     for phi, env, *vecs in ev.rows(LITERAL_SHAPES, *(("forcing", basis, frame) for frame in frames)):
         rhs = h.meet_all(v for vec in vecs for v in vec)
         report.check_eq(eval_formula(phi, ev.m, env), rhs, formula=phi, env=env)
 
 
-def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
-    for frame in scene.frames[:FORCINGL_FRAMES]:
+def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
+    for frame in frames:
         evl = ForcingLEval(ev.m, frame)
         rows = ev.rows(SMALL_SHAPES, ("forcing", frame, frame))
         for i, j in enumerate(frame.members):
@@ -1081,24 +1079,24 @@ def _suite_forcingL_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> N
                 report.check_eq(evl.value(phi, j, uenv), vec[i], frame=frame, j=j, formula=phi, env=env)
 
 
-def _suite_kuroda_gg(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_kuroda_gg(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     basis = ev.nuclei
-    for frame in scene.frames:
+    for frame in frames:
         rows = ev.rows(GENERAL_SHAPES, ("kuroda", basis, frame), ("forcing", basis, frame))
         for i, j in enumerate(basis.members):
             for phi, env, kv, fv in rows:
                 report.check_eq(j(kv[i]), fv[i], frame=frame, j=j, formula=phi, env=env)
 
 
-def _suite_impfree_equiv(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
-    for frame in scene.frames:
+def _suite_impfree_equiv(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
+    for frame in frames:
         for phi in IMPFREE_SHAPES:
             report.check_eq(ev.equiv_val(phi, frame), ev.h.top, frame=frame, formula=phi)
 
 
-def _suite_emn(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_emn(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h = ev.h
-    for frame in scene.frames:
+    for frame in frames:
         for phi, np, nnp, dne in EMN_SHAPES:
             e, e_np, e_nnp = (ev.equiv_val(x, frame) for x in (phi, np, nnp))
             m_np, m_nnp, m_dne = (ev.mono_val(x, frame) for x in (np, nnp, dne))
@@ -1109,9 +1107,9 @@ def _suite_emn(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
             report.check_le(h.meet[e][n_nnp], m_dne, item=4, frame=frame, formula=phi)
 
 
-def _suite_mndneg(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_mndneg(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h = ev.h
-    for frame in scene.frames:
+    for frame in frames:
         for phi, np, nnp, lem, dne in MNDNEG_SHAPES:
             e = ev.equiv_val(phi, frame)
             report.check_le(h.meet[e][ev.mono_val(np, frame)], ev.equiv_val(lem, frame),
@@ -1120,7 +1118,7 @@ def _suite_mndneg(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
                             ev.equiv_val(dne, frame), item=2, frame=frame, formula=phi)
 
 
-def _suite_trp_closure(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_trp_closure(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h, basis = ev.h, ev.nuclei
     t_atom = ev.trp_val(TRP_ATOM, basis)
     mats = [(phi, ev.trp_val(phi, basis), ev.trp_val(psi, basis), ev.trp_val(conj, basis),
@@ -1146,7 +1144,7 @@ def _dense_basis(ev: SceneEval) -> LopFrame:
     return LopFrame(ev.h, tuple(j for j in ev.nuclei.members if is_dense(j)))
 
 
-def _suite_dense_dne(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_dense_dne(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     dense = _dense_basis(ev)
     plain, at_j = eval_formula(DNE_ATOM, ev.m), ev.table("gg", DNE_ATOM, dense)[0]
     rows = [(phi, ev.table("gg", dne, dense)[0], ev.cl_val(phi, dense)) for phi, dne in DNE_SHAPES]
@@ -1157,11 +1155,9 @@ def _suite_dense_dne(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
                 report.check_le(dv[i], cl[i][l], item=2, j=j, k=k, formula=phi)
 
 
-def _suite_trp_imp_mn(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_trp_imp_mn(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h, basis = ev.h, ev.nuclei
-    for frame in scene.frames:
-        if not all(is_dense(k) for k in frame.members):
-            continue
+    for frame in frames:
         # row i of the matrix: j = basis entry i, k over the frame
         rows = [(phi, ev.trp_val(phi, basis, frame), h.meet[ev.mono_val(nnp, frame)][ev.nono_val(nnp, frame)])
                 for phi, _, nnp in NEGATIONS]
@@ -1170,7 +1166,7 @@ def _suite_trp_imp_mn(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
                 report.check_le(h.meet_all(trp[i]), rhs, frame=frame, j=j, formula=phi)
 
 
-def _suite_trp_ladder(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_trp_ladder(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     dense = _dense_basis(ev)
     mats = [(phi, ev.trp_val(phi, dense)) for phi in PI1_SHAPES + SIGMA1_SHAPES]
     for i, j in enumerate(dense.members):
@@ -1180,11 +1176,9 @@ def _suite_trp_ladder(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
                 report.check_le(le, trp[i][l], j=j, k=k, formula=phi)
 
 
-def _suite_sufcon(report: SuiteReport, ev: SceneEval, scene: Scene) -> None:
+def _suite_sufcon(report: SuiteReport, ev: SceneEval, frames: list[LopFrame]) -> None:
     h = ev.h
-    for frame in scene.frames:
-        if not all(is_dense(k) for k in frame.members):
-            continue
+    for frame in frames:
         for j in frame.members:
             ante = h.meet_all(ev.le_val(j, k) for k in frame.members)
             for label, phi, dne, lem in SUFCON_INSTANCES:
@@ -1213,39 +1207,45 @@ SUITES = {
     "sufcon": _suite_sufcon,
 }
 
-# The suites that check only some scenes or frames: which scenes they keep
-# (None: all), and the note that says so, with the count of kept scenes.
-# The sheaf-term evaluator is costly, so forcingL-equiv reads only the first frames.
-FORCINGL_FRAMES = 3
-SCENE_FILTERS = {
-    "forcingL-equiv": (lambda scene: scene.model.algebra.size <= 8 and scene.model.domain_size <= 2,
+
+def _dense_frames(scene: Scene) -> list[LopFrame]:
+    return [f for f in scene.frames if all(is_dense(k) for k in f.members)]
+
+
+# Suites that check only some scenes or frames: scene -> the frames read (None: skip it), and the note
+FORCINGL_FRAMES = 3  # the sheaf-term evaluator is costly, so forcingL-equiv reads only the first frames
+SUITE_READS = {
+    "forcingL-equiv": (lambda scene: list(islice(scene.frames, FORCINGL_FRAMES))
+                       if scene.model.algebra.size <= 8 and scene.model.domain_size <= 2 else None,
                        "restricted to algebras with <= 8 elements and domains <= 2, "
                        f"and to the first {FORCINGL_FRAMES} frames of each"),
-    "trp-imp-mn": (None, "on frames whose members are all dense"),
-    "trp-ladder": (lambda scene: scene.two_valued, "level-0 ladder on two-valued-atom models"),
-    "sufcon": (lambda scene: scene.two_valued, "level-0 condition on dense frames and two-valued-atom models"),
+    "trp-imp-mn": (_dense_frames, "on frames whose members are all dense"),
+    "trp-ladder": (lambda scene: scene.frames if scene.two_valued else None,
+                   "level-0 ladder on two-valued-atom models"),
+    "sufcon": (lambda scene: _dense_frames(scene) if scene.two_valued else None,
+               "level-0 condition on dense frames and two-valued-atom models"),
 }
 
 
 def run_suite(suite: str, corpus: Corpus) -> SuiteReport:
-    """Run the named suite over every scene of the corpus that its scene
-    filter keeps, with one `SceneEval` per scene.  A suite that reads a
-    scene's nuclei reads all of them, or the scene is refused (see
-    `SceneEval.nuclei`)."""
+    """Run the named suite, one `SceneEval` per scene, on the frames its
+    `SUITE_READS` reader picks, or on all; the note counts the scenes kept
+    and, if some of their frames were left out, the frames read.  A suite
+    that reads a scene's nuclei reads all of them or refuses the scene."""
     check = SUITES.get(suite)
     if check is None:
         raise HModelError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    keep, note = SCENE_FILTERS.get(suite, (None, None))
+    read, note = SUITE_READS.get(suite, (lambda scene: scene.frames, None))
     report = SuiteReport(suite)
     report.seed = corpus.seed
-    kept = 0
-    for scene in corpus.scenes:
-        if keep is None or keep(scene):
-            kept += 1
-            report.scene, report.h = scene, scene.model.algebra
-            check(report, SceneEval(scene.model), scene)
+    kept = [(scene, frames) for scene in corpus.scenes if (frames := read(scene)) is not None]
+    for scene, frames in kept:
+        report.scene, report.h = scene, scene.model.algebra
+        check(report, SceneEval(scene.model), frames)
     if note is not None:
-        report.notes.append(f"{note} ({kept} scenes)")
+        read_count, total = sum(len(frames) for _, frames in kept), sum(len(scene.frames) for scene, _ in kept)
+        frame_count = f", {read_count} of {total} frames" if read_count < total else ""
+        report.notes.append(f"{note} ({len(kept)} scenes{frame_count})")
     return report
 
 

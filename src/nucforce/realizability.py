@@ -37,6 +37,7 @@ from .formula import (
     Exists,
     Forall,
     Formula,
+    FormulaError,
     Imp,
     Monus,
     NumLit,
@@ -54,6 +55,7 @@ from .formula import (
     numeral_text,
     print_formula,
     read_json,
+    read_numeral,
     subst,
 )
 
@@ -226,12 +228,24 @@ class Oracle:
 
     @staticmethod
     def from_dict(label: str, mapping: dict) -> "Oracle":
+        """The oracle with this table.  Its keys are naturals, or their
+        decimal numerals as JSON object keys are, and name distinct
+        numbers; its values are naturals."""
         if not isinstance(label, str):
             raise RealizabilityError(f"oracle label {label!r} is not a string")
-        try:
-            return Oracle(label, tuple(sorted((int(k), int(v)) for k, v in mapping.items())))
-        except (AttributeError, TypeError, ValueError):
-            raise RealizabilityError(f"oracle {label!r}: the table must map integers to integers") from None
+        if not isinstance(mapping, dict):
+            raise RealizabilityError(f"oracle {label!r}: the table must map naturals to naturals")
+        table, keys = {}, {}
+        for key, value in mapping.items():
+            n = read_numeral(key) if isinstance(key, str) and key.isascii() and key.isdecimal() else key
+            if not _is_natural(n):
+                raise RealizabilityError(f"oracle {label!r}: key {key!r} is not a natural number")
+            if not _is_natural(value):
+                raise RealizabilityError(f"oracle {label!r}: value {value!r} at key {key!r} is not a natural number")
+            if n in keys:
+                raise RealizabilityError(f"oracle {label!r}: keys {keys[n]!r} and {key!r} name the same number")
+            table[n], keys[n] = value, key
+        return Oracle(label, tuple(sorted(table.items())))
 
     def get(self, n: int) -> int | None:
         return self._map.get(n)
@@ -242,6 +256,10 @@ class Oracle:
 
     def extends(self, other: "Oracle") -> bool:
         return all(self._map.get(k) == v for k, v in other.table)
+
+
+def _is_natural(x) -> bool:
+    return type(x) is int and x >= 0  # not bool, float or str
 
 
 EMPTY_ORACLE = Oracle("empty", ())
@@ -284,7 +302,10 @@ def load_oracle(path: str) -> Oracle:
     # {"label": ..., "table": {...}}, or a bare table that may carry a label
     rest = dict(data)
     label = rest.pop("label", path)
-    return Oracle.from_dict(label, rest.pop("table", rest))
+    try:
+        return Oracle.from_dict(label, rest.pop("table", rest))
+    except (RealizabilityError, FormulaError) as exc:
+        raise RealizabilityError(f"{path}: {exc}") from None
 
 
 def load_oracle_poset(path: str) -> OraclePoset:
@@ -297,18 +318,22 @@ def load_oracle_poset(path: str) -> OraclePoset:
         raise RealizabilityError(f"{path}: an oracle poset file needs an 'oracles' list")
     if not all(isinstance(o, dict) and "table" in o for o in data["oracles"]):
         raise RealizabilityError(f"{path}: every oracle needs a 'table'")
-    oracles = tuple(Oracle.from_dict(o.get("label", f"o{i}"), o["table"]) for i, o in enumerate(data["oracles"]))
+    try:
+        oracles = tuple(Oracle.from_dict(o.get("label", f"o{i}"), o["table"]) for i, o in enumerate(data["oracles"]))
+        poset = OraclePoset(oracles)
+    except (RealizabilityError, FormulaError) as exc:
+        raise RealizabilityError(f"{path}: {exc}") from None
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise RealizabilityError(f"{path}: 'edges' must be a list of oracle index pairs")
     for edge in edges:
         if not (isinstance(edge, list) and len(edge) == 2
-                and all(isinstance(i, int) and 0 <= i < len(oracles) for i in edge)):
+                and all(type(i) is int and 0 <= i < len(oracles) for i in edge)):
             raise RealizabilityError(f"{path}: edge {edge!r} is not a pair of oracle indices")
         a, b = edge
         if not oracles[b].extends(oracles[a]):
-            raise RealizabilityError(f"declared edge ({a}, {b}) is not an extension")
-    return OraclePoset(oracles)
+            raise RealizabilityError(f"{path}: declared edge ({a}, {b}) is not an extension")
+    return poset
 
 
 # -------------------------------------------------------------- machine

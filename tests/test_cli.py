@@ -385,6 +385,52 @@ def test_two_valued_suites_keep_a_model_file_whose_atoms_are_two_valued(capsys, 
         assert report["notes"][0].endswith(f"({int(count > 0)} scenes)")
 
 
+# Oracle and oracle-poset files that `realize` refuses, each with one
+# error line that names the file: oracle keys are decimal numerals that
+# name distinct naturals, and values and poset edges are JSON integers
+# >= 0, not booleans, floats or strings.
+REFUSED_ORACLE_FILES = {
+    "oracle-negative-value": ("--oracle", {"0": -5}),
+    "oracle-float-value": ("--oracle", {"0": 1.5}),
+    "oracle-bool-value": ("--oracle", {"0": True}),
+    "oracle-numeral-value": ("--oracle", {"0": "3"}),
+    "oracle-negative-key": ("--oracle", {"label": "f", "table": {"-1": 0}}),
+    "oracle-float-key": ("--oracle", {"table": {"1.5": 0}}),
+    "oracle-non-ascii-digit-key": ("--oracle", {"\u0663": 0}),
+    "oracle-keys-naming-one-number": ("--oracle", {"1": 1, "01": 2}),
+    "oracle-key-over-4300-digits": ("--oracle", {"9" * 5000: 0}),
+    "frame-negative-value": ("--frame", {"oracles": [{"table": {}}, {"table": {"0": -1}}]}),
+    "frame-keys-naming-one-number": ("--frame", {"oracles": [{"table": {"2": 0, "002": 0}}]}),
+    "frame-repeated-oracle": ("--frame", {"oracles": [{"table": {"2": 0}}, {"label": "g", "table": {"02": 0}}]}),
+    "frame-bool-edge": ("--frame", {"oracles": [{"table": {}}, {"table": {"0": 1}}], "edges": [[False, True]]}),
+    "frame-edge-not-an-extension": ("--frame", {"oracles": [{"table": {}}, {"table": {"0": 1}}], "edges": [[1, 0]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ORACLE_FILES))
+def test_refused_oracle_files_exit_2_naming_the_file(capsys, tmp_path, case):
+    flag, doc = REFUSED_ORACLE_FILES[case]
+    path = _write(tmp_path, "in.json", doc)
+    files = ["--oracle", path] if flag == "--oracle" else ["--oracle", _oracle_file(tmp_path), "--frame", path]
+    code, out, err = run(capsys, "realize", "--code", "K (FST (ORA 0))", "--formula", "forall x. exists y. y = 0",
+                         *files)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_notes_count_the_frames_of_a_model_file_a_suite_leaves_out(capsys, tmp_path):
+    """`top` is not dense, so trp-imp-mn reads the frame [id] and leaves
+    out [id, top]; jclosed reads both and has nothing to note."""
+    model = _antichain_model(tmp_path, 2)
+    code, out, _ = run(capsys, "check", "--suite", "trp-imp-mn", "--corpus", model)
+    report = json.loads(out)
+    assert code == 0 and report["passed"] and report["checks"] > 0
+    assert report["notes"][0].endswith("(1 scenes, 1 of 2 frames)")
+    code, out, _ = run(capsys, "check", "--suite", "jclosed", "--corpus", model)
+    report = json.loads(out)
+    assert code == 0 and report["passed"] and report["notes"] == []
+
+
 def _antichain_model(tmp_path, points):
     """A model file on an antichain of the given points, which has 2^points
     nuclei, with the identity frame and the frame {id, top}."""

@@ -13,6 +13,7 @@ from nucforce.nucleus import (
     double_negation,
     enumerate_nuclei,
     identity_nucleus,
+    is_dense,
     top_nucleus,
 )
 from nucforce.hmodel import (
@@ -23,6 +24,7 @@ from nucforce.hmodel import (
     HModel,
     HModelError,
     SceneEval,
+    SUITE_READS,
     SUITES,
     SEARCH_TARGETS,
     all_posets,
@@ -222,8 +224,10 @@ def test_literal_class_adds_the_identity_frame_a_model_file_lacks(tmp_path):
     phi, env = parse("~R(x)"), (("x", 1),)
     assert {eval_m(forcing_translate(phi), m, env, {"j": j}, {"P": frame}) for j in m.nuclei} == {m.algebra.top}
     assert eval_formula(phi, m, env) == m.algebra.bottom
-    report = run_suite("literal-class", corpus_from_spec(str(path)))
+    corpus = corpus_from_spec(str(path))
+    report = run_suite("literal-class", corpus)
     assert report.passed, report.failures[:3]
+    assert len(corpus.scenes[0].frames) == 1  # the identity frame went to a copy of the scene's list
     assert report.checks == sum(m.domain_size ** len(free_vars(phi)) for phi in LITERAL_SHAPES)
 
 
@@ -348,6 +352,40 @@ def test_suites_pass_on_small_corpus(suite):
     report = run_suite(suite, corpus)
     assert report.passed, report.failures[:3]
     assert report.checks > 0
+
+
+def test_suite_reads_name_only_registered_suites():
+    # a misspelt key would drop its suite's restriction and note unnoticed
+    assert set(SUITE_READS) <= set(SUITES)
+
+
+def test_suite_notes_count_the_scenes_and_frames_read_on_small_corpus():
+    """The notes count the scenes each restricted suite keeps and, when it
+    leaves some of their frames out, the frames it reads; the counts here
+    come from `is_dense`, the two-valued flag and the bounds the notes
+    name (algebras of at most 8 elements, domains of at most 2 points,
+    the first 3 frames)."""
+    corpus = builtin_corpus("builtin:small")
+    small = [s for s in corpus.scenes if s.model.algebra.size <= 8 and s.model.domain_size <= 2]
+    two_valued = [s for s in corpus.scenes if s.two_valued]
+
+    def dense(scenes):
+        return sum(all(is_dense(k) for k in f.members) for s in scenes for f in s.frames)
+
+    def total(scenes):
+        return sum(len(s.frames) for s in scenes)
+
+    expected = {
+        "forcingL-equiv": (len(small), sum(min(3, len(s.frames)) for s in small), total(small)),
+        "trp-imp-mn": (len(corpus.scenes), dense(corpus.scenes), total(corpus.scenes)),
+        "sufcon": (len(two_valued), dense(two_valued), total(two_valued)),
+    }
+    assert {suite: counts[1:] for suite, counts in expected.items()} == {
+        "forcingL-equiv": (48, 62), "trp-imp-mn": (36, 93), "sufcon": (12, 31)}
+    for suite, (scenes, read, frames) in expected.items():
+        assert run_suite(suite, corpus).notes[0].endswith(f"({scenes} scenes, {read} of {frames} frames)"), suite
+    # trp-ladder keeps every frame of the scenes it keeps
+    assert run_suite("trp-ladder", corpus).notes[0].endswith(f"({len(two_valued)} scenes)")
 
 
 def test_run_suite_unknown_name():

@@ -209,6 +209,14 @@ def test_oracle_calls_and_consultation_trace():
     assert out.verdict == REFUTED
 
 
+def test_oracle_tables_map_naturals_to_naturals():
+    # Python callers give int keys, JSON files decimal numerals
+    assert Oracle.from_dict("f", {2: 5, "3": 0, "010": 1}).table == ((2, 5), (3, 0), (10, 1))
+    for table in ({True: 1}, {-1: 0}, {1.0: 0}, {0: -1}, {0: False}, {0: 2.0}, {2: 5, "2": 6}, {"+2": 0}, {" 2": 0}):
+        with pytest.raises(RealizabilityError):
+            Oracle.from_dict("f", table)
+
+
 def test_apply_requires_positive_fuel():
     with pytest.raises(RealizabilityError):
         apply(identity_code(), 0, EMPTY_ORACLE, fuel=0)

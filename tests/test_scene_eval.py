@@ -141,7 +141,7 @@ def test_emn_builds_each_node_table_once_per_basis_and_frame():
     ev = SceneEval(scene.model)
     report = SuiteReport("emn")
     report.scene, report.h = scene, scene.model.algebra
-    SUITES["emn"](report, ev, scene)
+    SUITES["emn"](report, ev, scene.frames)
     assert report.passed and report.checks == 4 * 6 * len(scene.frames)
     assert ev.node_evals == sum(len(memo) for memo in ev._vec.values()) == EMN_NODE_EVALS
 
