@@ -16,7 +16,7 @@ import json
 import sys
 
 from .algebra import AlgebraError, FinPoset, check_poset_size, load_poset, upset_algebra
-from .formula import MAX_NESTING, FormulaError, parse, print_formula, read_json, read_numeral
+from .formula import FormulaError, parse, print_formula, read_json, read_numeral
 from .nucleus import NucleusError, enumerate_nuclei, is_dense
 from .translate import TRANSLATIONS
 from .hmodel import (
@@ -28,16 +28,15 @@ from .hmodel import (
     search_countermodel,
 )
 from .realizability import (
-    ARITY,
     Budgets,
     DEMO_BUDGETS,
     REALIZED,
     REFUTED,
     RealizabilityError,
     djg_realizes,
-    encode,
     load_oracle,
     load_oracle_poset,
+    read_code,
     realizes,
     separation_demo,
 )
@@ -55,11 +54,7 @@ class CliError(ValueError):
 def _poset_from_spec(spec: str):
     for prefix, build in (("chain:", FinPoset.chain), ("antichain:", FinPoset.antichain)):
         if spec.startswith(prefix):
-            count = spec[len(prefix):]
-            try:
-                size = int(count)
-            except ValueError:
-                raise AlgebraError(f"poset spec {spec!r}: {count!r} is not an integer") from None
+            size = read_numeral(spec[len(prefix):], AlgebraError)
             check_poset_size(size)
             return build(size)
     return load_poset(spec)
@@ -143,59 +138,8 @@ def cmd_search(args) -> int:
     return EXIT_FAIL
 
 
-def parse_code(text: str) -> int:
-    """A code given as a number or a parenthesised combinator term."""
-    text = text.strip()
-    if text.isdecimal():
-        return read_numeral(text)
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = [0]
-
-    def atom(depth):
-        if pos[0] >= len(tokens):
-            raise CliError("code term ends early")
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        if tok == "(":
-            if depth == MAX_NESTING:
-                raise CliError(f"code term nests deeper than {MAX_NESTING} levels")
-            t = expr(depth + 1)
-            if pos[0] >= len(tokens) or tokens[pos[0]] != ")":
-                raise CliError("unbalanced parentheses in code term")
-            pos[0] += 1
-            return t
-        if tok in ARITY:
-            return tok
-        if tok.isdecimal():
-            return ("num", read_numeral(tok))
-        raise CliError(f"unknown token {tok!r} in code term")
-
-    def expr(depth):
-        t = atom(depth)
-        while pos[0] < len(tokens) and tokens[pos[0]] != ")":
-            t = ("app", t, atom(depth))
-        return t
-
-    t = expr(0)
-    if pos[0] != len(tokens):
-        raise CliError("trailing tokens in code term")
-    # a chain of applications nests in the term without nesting in the text
-    depth, level = -1, [t]
-    while level:
-        depth += 1
-        level = [u for node in level if node[0] == "app" for u in node[1:]]
-    if depth > MAX_NESTING:
-        raise CliError(f"code term nests deeper than {MAX_NESTING} levels")
-    code = encode(t)
-    try:
-        str(code)  # the report prints the code in decimal
-    except ValueError:
-        raise CliError("code term is too long: its code has more digits than Python prints") from None
-    return code
-
-
 def cmd_realize(args) -> int:
-    code = parse_code(args.code)
+    code = read_code(args.code)
     phi = parse(args.formula)
     oracle = load_oracle(args.oracle)
     cfg = Budgets(fuel=args.fuel, universe=args.universe, candidates=args.candidates)
@@ -224,8 +168,8 @@ def cmd_demo(args) -> int:
     candidates = None
     if args.candidates:
         candidates = read_json(args.candidates, CliError)
-        if not (isinstance(candidates, list) and all(type(c) is int for c in candidates)):
-            raise CliError(f"{args.candidates}: candidates must be a JSON list of integer codes")
+        if not (isinstance(candidates, list) and all(type(c) is int and c >= 0 for c in candidates)):
+            raise CliError(f"{args.candidates}: candidates must be a JSON list of codes, integers >= 0")
     report = separation_demo(cfg, candidates)
     report["seed"] = args.seed
     _emit(report, args)
@@ -238,7 +182,7 @@ def cmd_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="nucforce")
-    top.add_argument("--seed", type=int, default=0, help="seed recorded in reports and used for sampling")
+    top.add_argument("--seed", type=read_numeral, default=0, help="seed recorded in reports and used for sampling")
     top.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -271,16 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--oracle", required=True, help="oracle JSON file")
     p.add_argument("--frame", default=None, help="oracle poset JSON file (extension semantics)")
-    p.add_argument("--fuel", type=int, default=Budgets().fuel)
-    p.add_argument("--universe", type=int, default=Budgets().universe)
-    p.add_argument("--candidates", type=int, default=Budgets().candidates)
+    p.add_argument("--fuel", type=read_numeral, default=Budgets().fuel)
+    p.add_argument("--universe", type=read_numeral, default=Budgets().universe)
+    p.add_argument("--candidates", type=read_numeral, default=Budgets().candidates)
     p.set_defaults(fn=cmd_realize)
 
     p = sub.add_parser("demo", help="run a packaged experiment")
     p.add_argument("what", nargs="?", default="separation")
-    p.add_argument("--budget-fuel", type=int, default=DEMO_BUDGETS.fuel)
-    p.add_argument("--universe", type=int, default=DEMO_BUDGETS.universe)
-    p.add_argument("--candidate-bound", type=int, default=DEMO_BUDGETS.candidates)
+    p.add_argument("--budget-fuel", type=read_numeral, default=DEMO_BUDGETS.fuel)
+    p.add_argument("--universe", type=read_numeral, default=DEMO_BUDGETS.universe)
+    p.add_argument("--candidate-bound", type=read_numeral, default=DEMO_BUDGETS.candidates)
     p.add_argument("--candidates", default=None, help="JSON file with a list of candidate codes")
     p.set_defaults(fn=cmd_demo)
 

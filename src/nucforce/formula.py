@@ -207,6 +207,7 @@ MAX_NESTING = 100
 
 KEYWORDS = {"forall", "exists", "bot", "S"}
 _SYMBOLS = ["/\\", "\\/", "->", "-.", ">=", "(", ")", "[", "]", ",", ".", "=", "+", "*", "~"]
+# a run of digits of any script is one token, which `read_numeral` reads
 _TOKEN_RE = re.compile(
     "|".join(re.escape(s) for s in _SYMBOLS) + r"|\d+|[A-Za-z][A-Za-z0-9_']*"
 )
@@ -273,6 +274,15 @@ class Parser:
             self.fail(f"expected {expected!r} but found {tok!r}")
         self.pos += 1
         return tok
+
+    def numeral(self, what: str) -> int:
+        """The next token read by `read_numeral`, refused at its position."""
+        line, col = self.here()
+        tok = self.take()
+        try:
+            return read_numeral(tok)
+        except FormulaError as exc:
+            raise ParseError(f"expected {what}: {exc}", line, col) from None
 
     def nested(self, parse_part):
         """parse_part() one level deeper, refusing more than MAX_NESTING levels."""
@@ -394,10 +404,6 @@ class Parser:
 
     def prim_term(self) -> Term:
         tok = self.peek()
-        if tok is None:
-            self.fail("expected a term")
-        if tok.isdigit():
-            return num(read_numeral(self.take()))
         if tok == "S":
             self.take()
             self.take("(")
@@ -409,33 +415,48 @@ class Parser:
             inner = self.nested(self.term)
             self.take(")")
             return inner
-        if tok[0].islower() and tok not in KEYWORDS:
+        if tok and tok[0].islower() and tok not in KEYWORDS:
             self.take()
             return Var(tok)
-        self.fail(f"expected a term, found {tok!r}")
+        return num(self.numeral("a term"))
 
 
 def parse(text: str) -> Formula:
     return Parser(text).parse()
 
 
-def read_numeral(text: str) -> int:
-    """The value of a decimal numeral, refusing one longer than Python
-    converts (4,300 digits by default)."""
+def read_numeral(text: str, error: type[Exception] = FormulaError) -> int:
+    """The value of a numeral, the one rule by which nucforce reads a number
+    from text: ASCII digits only, no sign, space or underscore, and no more
+    digits than Python converts (4,300 by default); else `error` is raised."""
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"{text!r} is not a numeral of ASCII digits")
     try:
         return int(text)
     except ValueError:
-        raise FormulaError(f"numeral of {len(text)} digits is too long") from None
+        raise error(f"numeral of {len(text)} digits is too long") from None
+
+
+def _json_object(pairs: list) -> dict:
+    """A decoded JSON object, refusing a key that it repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise KeyError(key)
+        obj[key] = value
+    return obj
 
 
 def read_json(path: str, error: type[Exception]):
-    """The JSON document in the file at path.  A file that is not valid
-    JSON, nests deeper than the decoder recurses, is not text, or holds an
-    integer longer than Python converts (4,300 digits by default) is
-    refused with `error`, its message led by the path."""
+    """The JSON document in the file at path.  A file that is not valid JSON,
+    repeats a key in an object, nests deeper than the decoder recurses, is
+    not text, or holds an integer longer than Python converts (4,300 digits
+    by default) is refused with `error`, its message led by the path."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
+        except KeyError as exc:
+            raise error(f"{path}: key {exc.args[0]!r} is repeated in one object") from None
         except RecursionError:
             raise error(f"{path}: JSON nests too deeply to read") from None
         except json.JSONDecodeError as exc:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import AlgebraError, HeytingAlg, neg
+from .formula import FormulaError, read_numeral
 
 ENUM_SIZE_CAP = 64
 
@@ -182,23 +183,17 @@ def frame_up(frame: LopFrame, j: Nucleus) -> list[Nucleus]:
 
 def named_nucleus(h: HeytingAlg, spec: str) -> Nucleus:
     """Resolve 'id', 'notnot', 'top', 'closed:<elt>', 'open:<elt>', or an index."""
-    if spec == "id":
-        return identity_nucleus(h)
-    if spec == "notnot":
-        return double_negation(h)
-    if spec == "top":
-        return top_nucleus(h)
-    for prefix, build in (("closed:", closed_nucleus), ("open:", open_nucleus)):
-        if spec.startswith(prefix):
-            try:
-                elt = int(spec[len(prefix):])
-            except ValueError:
-                raise NucleusError(f"nucleus spec {spec!r} does not end in an element index") from None
-            return build(h, elt)
-    if spec.isdecimal():
-        inventory = enumerate_nuclei(h)
-        i = int(spec)
-        if i >= len(inventory):
-            raise NucleusError(f"nucleus index {i} out of range ({len(inventory)} enumerated)")
-        return inventory[i]
-    raise NucleusError(f"unknown nucleus spec {spec!r}")
+    named = {"id": identity_nucleus, "notnot": double_negation, "top": top_nucleus}
+    if spec in named:
+        return named[spec](h)
+    try:
+        for prefix, build in (("closed:", closed_nucleus), ("open:", open_nucleus)):
+            if spec.startswith(prefix):
+                return build(h, read_numeral(spec[len(prefix):]))
+        i = read_numeral(spec)
+    except FormulaError as exc:
+        raise NucleusError(f"unknown nucleus spec {spec!r}: {exc}") from None
+    inventory = enumerate_nuclei(h)
+    if i >= len(inventory):
+        raise NucleusError(f"nucleus index {i} out of range ({len(inventory)} enumerated)")
+    return inventory[i]

@@ -39,9 +39,11 @@ from .formula import (
     Formula,
     FormulaError,
     Imp,
+    MAX_NESTING,
     Monus,
     NumLit,
     Or,
+    Parser,
     Plus,
     STEP_HALT,
     Succ,
@@ -192,6 +194,48 @@ def term_str(t) -> str:
     return "".join(out)
 
 
+def read_code(text: str) -> int:
+    """The code a text names: a lone numeral is the code itself, other text
+    a term of combinators and numerals applied to the left, with brackets,
+    read with the formula parser's tokens and cursor."""
+    p = Parser(text)
+    if len(p.tokens) == 1 and p.peek() not in ARITY:
+        return read_numeral(text)
+
+    def atom(depth):
+        if p.peek() != "(":
+            return p.take() if p.peek() in ARITY else numt(p.numeral("a combinator, a numeral or '('"))
+        if depth == MAX_NESTING:
+            p.fail(f"code term nests deeper than {MAX_NESTING} levels")
+        p.take("(")
+        t = expr(depth + 1)
+        p.take(")")
+        return t
+
+    def expr(depth):
+        t = atom(depth)
+        while p.peek() not in (None, ")"):
+            t = ("app", t, atom(depth))
+        return t
+
+    t = expr(0)
+    if p.peek() is not None:
+        p.fail(f"unexpected trailing token {p.peek()!r}")
+    # a chain of applications nests in the tree without nesting in the text
+    depth, level = -1, [t]
+    while level:
+        depth += 1
+        level = [u for node in level if node[0] == "app" for u in node[1:]]
+    if depth > MAX_NESTING:
+        p.fail(f"code term nests deeper than {MAX_NESTING} levels")
+    code = encode(t)
+    try:
+        str(code)  # reports print the code in decimal
+    except ValueError:
+        raise RealizabilityError("code term is too long: its code has more digits than Python prints") from None
+    return code
+
+
 # -------------------------------------------------- bracket abstraction
 
 def _free_in(v: str, t) -> bool:
@@ -237,7 +281,7 @@ class Oracle:
             raise RealizabilityError(f"oracle {label!r}: the table must map naturals to naturals")
         table, keys = {}, {}
         for key, value in mapping.items():
-            n = read_numeral(key) if isinstance(key, str) and key.isascii() and key.isdecimal() else key
+            n = read_numeral(key, RealizabilityError) if isinstance(key, str) else key
             if not _is_natural(n):
                 raise RealizabilityError(f"oracle {label!r}: key {key!r} is not a natural number")
             if not _is_natural(value):

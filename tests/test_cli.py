@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from nucforce import cli
 from nucforce.algebra import FinPoset
-from nucforce.formula import MAX_NESTING
-from nucforce.realizability import app, diverging_code, encode, numt
+from nucforce.formula import MAX_NESTING, FormulaError
+from nucforce.realizability import app, diverging_code, encode, numt, read_code
 from nucforce.translate import TRANSLATIONS
 
 from test_formula import NESTED
@@ -122,13 +122,13 @@ def test_search_unknown_target(capsys):
 
 
 def test_parse_code_accepts_numbers_and_terms():
-    assert cli.parse_code("42") == 42
-    assert cli.parse_code("(K 5)") == encode(app("K", numt(5)))
-    assert cli.parse_code("S K K") == encode(app("S", "K", "K"))
-    with pytest.raises(cli.CliError):
-        cli.parse_code("K x")
-    with pytest.raises(cli.CliError):
-        cli.parse_code("(K 5")
+    assert read_code("42") == 42
+    assert read_code("(K 5)") == encode(app("K", numt(5)))
+    assert read_code("S K K") == encode(app("S", "K", "K"))
+    with pytest.raises(FormulaError):
+        read_code("K x")
+    with pytest.raises(FormulaError):
+        read_code("(K 5")
 
 
 def _write(tmp_path, name, data):
@@ -418,6 +418,98 @@ def test_refused_oracle_files_exit_2_naming_the_file(capsys, tmp_path, case):
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def _frame_model(tmp_path, spec):
+    """A model file on the 2-point antichain, whose algebra has 4 elements
+    and 4 nuclei, with the one frame [spec]."""
+    return _write(tmp_path, "m.json", {"poset": {"elements": ["p0", "p1"], "covers": []}, "domain_size": 1,
+                                       "atoms": {"R": [3], "Q": [3]}, "frames": [[spec]]})
+
+
+def _realize_with(tmp_path, *flags):
+    return ["realize", "--code", "0", "--formula", "0 = 0", "--oracle", _oracle_file(tmp_path), *flags]
+
+
+# Every place a number is read from text: the command that reads the
+# numeral n there, and a check on its output when n is "3".
+NUMERAL_SITES = {
+    "formula": (lambda tmp, n: ["translate", f"R(x) /\\ 0 = {n}"], lambda out: out.endswith("0 = 3\n")),
+    "code": (lambda tmp, n: ["realize", "--code", n, "--formula", "0 = 0", "--oracle", _oracle_file(tmp)],
+             lambda out: json.loads(out)["trace"]["code"] == 3),
+    "code-term": (lambda tmp, n: ["realize", "--code", f"K {n}", "--formula", "0 = 0", "--oracle", _oracle_file(tmp)],
+                  lambda out: json.loads(out)["trace"]["code"] == encode(app("K", numt(3)))),
+    "oracle-key": (lambda tmp, n: ["realize", "--code", "K (FST (ORA 3))", "--formula", "forall x. exists y. y = 0",
+                                   "--oracle", _write(tmp, "o.json", {n: 0})],
+                   lambda out: json.loads(out)["verdict"] == "realized"),
+    "nucleus-index": (lambda tmp, n: ["check", "--suite", "impfree-equiv", "--corpus", _frame_model(tmp, n)],
+                      lambda out: json.loads(out)["passed"]),
+    "closed-nucleus": (lambda tmp, n: ["check", "--suite", "impfree-equiv",
+                                       "--corpus", _frame_model(tmp, f"closed:{n}")],
+                       lambda out: json.loads(out)["passed"]),
+    "open-nucleus": (lambda tmp, n: ["check", "--suite", "impfree-equiv", "--corpus", _frame_model(tmp, f"open:{n}")],
+                     lambda out: json.loads(out)["passed"]),
+    "chain": (lambda tmp, n: ["algebra", "--poset", f"chain:{n}"], lambda out: json.loads(out)["size"] == 4),
+    "antichain": (lambda tmp, n: ["algebra", "--poset", f"antichain:{n}"], lambda out: json.loads(out)["size"] == 8),
+    "seed": (lambda tmp, n: ["--seed", n, "algebra", "--poset", "chain:1"], lambda out: json.loads(out)["seed"] == 3),
+    "fuel": (lambda tmp, n: _realize_with(tmp, "--fuel", n), lambda out: json.loads(out)["budgets"]["fuel"] == 3),
+    "universe": (lambda tmp, n: _realize_with(tmp, "--universe", n),
+                 lambda out: json.loads(out)["budgets"]["universe"] == 3),
+    "candidates": (lambda tmp, n: _realize_with(tmp, "--candidates", n),
+                   lambda out: json.loads(out)["budgets"]["candidates"] == 3),
+    "budget-fuel": (lambda tmp, n: ["demo", "separation", "--budget-fuel", n],
+                    lambda out: json.loads(out)["header"]["budgets"]["fuel"] == 3),
+    "demo-universe": (lambda tmp, n: ["demo", "separation", "--universe", n],
+                      lambda out: json.loads(out)["header"]["budgets"]["universe"] == 3),
+    "candidate-bound": (lambda tmp, n: ["demo", "separation", "--candidate-bound", n],
+                        lambda out: json.loads(out)["header"]["budgets"]["candidates"] == 3),
+}
+# In a formula or a code term a space only separates tokens, so " 3"
+# there is the numeral 3.
+NUMERAL_CASES = [(site, n) for site in sorted(NUMERAL_SITES) for n in ["3", "\u0663", "+3", " 3", "1_0"]
+                 if not (n == " 3" and site in ("formula", "code-term"))]
+
+
+@pytest.mark.parametrize("site, numeral", NUMERAL_CASES)
+def test_every_numeral_site_reads_ascii_digits_only(capsys, tmp_path, site, numeral):
+    argv, reads_three = NUMERAL_SITES[site]
+    try:
+        code = cli.main(argv(tmp_path, numeral))
+    except SystemExit as exc:  # argparse refuses an option's value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if numeral == "3":
+        assert code != 2 and reads_three(out), err
+    else:
+        assert (code, out) == (2, "") and "error: " in err
+
+
+# A file that repeats a key within one JSON object, and a candidates
+# list with a negative code, each refused with one error line naming the
+# file.  Before, the last of two equal keys won: the oracle below read
+# 7 -> 0 and the code realized its formula.
+REFUSED_FILES = {
+    "oracle-table-repeated-key": (
+        b'{"label": "f", "table": {"7": 1, "7": 0}}', "key '7' is repeated in one object",
+        lambda path: ["realize", "--code", "K (FST (ORA 7))", "--formula", "forall x. exists y. y = 0",
+                      "--oracle", path]),
+    "model-atoms-repeated-relation": (
+        b'{"poset": {"elements": ["a", "b"], "covers": [["a", "b"]]}, "domain_size": 2,'
+        b' "atoms": {"R": [0, 2], "Q": [2, 2], "R": [2, 2]}}', "key 'R' is repeated in one object",
+        lambda path: ["check", "--suite", "loplem", "--corpus", path]),
+    "candidates-negative-code": (
+        b"[-1, 17]", "candidates must be a JSON list of codes, integers >= 0",
+        lambda path: ["demo", "separation", "--candidates", path]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_FILES))
+def test_refused_files_exit_2_naming_the_file(capsys, tmp_path, case):
+    text, reason, argv = REFUSED_FILES[case]
+    path = _raw(tmp_path, "in.json", text)
+    code, out, err = run(capsys, *argv(path))
+    assert (code, out, err) == (2, "", f"error: {path}: {reason}\n")
+
+
 def test_notes_count_the_frames_of_a_model_file_a_suite_leaves_out(capsys, tmp_path):
     """`top` is not dense, so trp-imp-mn reads the frame [id] and leaves
     out [id, top]; jclosed reads both and has nothing to note."""
@@ -576,12 +668,12 @@ VALID_ARGS = {
     "poset": ("chain:3", lambda text, oracle: ["algebra", "--poset", text]),
 }
 FORMULA_PIECES = ["~", "(", ")", "->", "\\/", "/\\", "forall x.", "exists y.", "bot", "R(x)", "0", "7", "S(",
-                  "=", "+", "*", "-.", "x", ",", "[j]", "\u00b2", " "]
+                  "=", "+", "*", "-.", "x", ",", "[j]", "\u00b2", "\u0663", " "]
 ARG_PIECES = {
     "formula": FORMULA_PIECES,
     "translated-formula": FORMULA_PIECES,
-    "code": ["(", ")", "K", "S", "PAIR", "ORA", "HALT", "FIX", "0", "99", "x", "\u00b2", " "],
-    "poset": ["chain:", "antichain:", "-", "0", "1", "9", "x", ":", ".", "/", "\u00b2", " "],
+    "code": ["(", ")", "K", "S", "PAIR", "ORA", "HALT", "FIX", "0", "99", "x", "\u00b2", "\u0663", " "],
+    "poset": ["chain:", "antichain:", "-", "0", "1", "9", "x", ":", ".", "/", "\u00b2", "\u0663", " "],
 }
 REPEATS = [1, 2, 50, MAX_NESTING + 1, 3000]
 

@@ -93,11 +93,13 @@ def _bottoms(self, *args):
 # Each fault patches the evaluator or the translations, and lists the
 # suites that record failures under it; together they cover all 18.
 FAULTS = {
-    # gg becomes [j]phi, forcing becomes kuroda and kuroda becomes gg
+    # gg becomes [j]phi, forcing becomes kuroda and kuroda becomes gg,
+    # wrapped in [j] where kuroda is
     "swapped-translations": (
         lambda: [mock.patch.dict(TRANSLATIONS, {"gg": lambda phi: Mod("j", phi),
                                                 "forcing": kuroda_forcing_translate,
-                                                "kuroda": gg_translate})],
+                                                "kuroda": gg_translate,
+                                                "kuroda-wrapped": lambda phi: Mod("j", gg_translate(phi))})],
         ["constant-domain", "emn", "forcingL-equiv", "impfree-equiv", "iqc-soundness",
          "jclosed", "kuroda-gg", "maximal-collapse", "mndneg"]),
     "bottom-vectors": (
