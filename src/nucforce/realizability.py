@@ -14,7 +14,9 @@ ordered by extension, where implications and universals quantify over
 the larger oracles.  Plain realizability relative to one oracle is its
 case on the one-point frame, and the standard-frame entry point first
 validates the extension/reducibility agreement and then defers to the
-same clauses.
+same clauses.  The frame memoizes what every check on it repeats: the
+antecedent realizers an implication scans, the checker's machine
+applications and its closed-atom verdicts, each decided once per frame.
 
 All verdicts are budgeted: Realized is certified only for the supplied
 fuel, universe, and candidate bounds; Refuted carries a concrete
@@ -306,6 +308,11 @@ def _is_natural(x) -> bool:
     return type(x) is int and x >= 0  # not bool, float or str
 
 
+def _require_natural(what: str, x) -> None:
+    if not _is_natural(x):
+        raise RealizabilityError(f"{what} {x!r} is not a natural number")
+
+
 EMPTY_ORACLE = Oracle("empty", ())
 
 
@@ -318,9 +325,14 @@ class OraclePoset:
     _up: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # budgets -> the `check_assumption_A` report, built on the first `preal_standard`
     _agreement: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (budgets, formula, member table) -> the antecedent realizers `_members`
-    # found; every check on this frame shares it, for as long as the frame lives
+    # The checker's memos: every check on this frame shares them, for as
+    # long as the frame lives.
+    # (budgets, formula, member table) -> the antecedent realizers `_members` found
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (code, input, member table, fuel) -> the verdict of `_code_apply`
+    _apps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (closed atom, fuel) -> its verdict and detail
+    _atoms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.oracles:
@@ -592,6 +604,8 @@ def apply(e: int, n: int, f: Oracle, fuel: int = DEFAULT_BUDGETS.fuel) -> Outcom
     """
     if fuel < 1:
         raise RealizabilityError("fuel must be at least 1")
+    _require_natural("code", e)
+    _require_natural("input", n)
     cell = [fuel]
     consulted: set = set()
     verdict, got = _run(e, n, f, cell, consulted)
@@ -652,7 +666,8 @@ def _atom_true(phi: Formula, fuel: int) -> bool:
     raise RealizabilityError(f"not a decidable atom: {phi!r}")
 
 
-def _require_checkable(phi: Formula):
+def _require_checkable(e, phi: Formula):
+    _require_natural("code", e)
     if free_vars(phi):
         raise RealizabilityError(f"formula must be closed: {phi!r}")
     if has_abstract(phi):
@@ -660,6 +675,38 @@ def _require_checkable(phi: Formula):
 
 
 # ------------------------------------------------------------- checker
+
+# A quantifier's instance at a numeral is pure, so one bounded memo
+# shares each instance between the universe scan, the antecedent scans
+# and every frame, and the frame memos key on the same formula object.
+@lru_cache(maxsize=4096)
+def _instance(phi: Formula, m: int) -> Formula:
+    """The body of the quantifier phi with the numeral m for its variable."""
+    return subst(phi.body, {phi.var: num(m)})
+
+
+def _frame_apply(e: int, n: int, g: Oracle, T: OraclePoset, fuel: int):
+    """`_code_apply` run once per application on the frame T."""
+    key = (e, n, g.table, fuel)
+    got = T._apps.get(key)
+    if got is None:
+        got = T._apps[key] = _code_apply(e, n, g, fuel)
+    return got
+
+
+def _atom_status(phi: Formula, T: OraclePoset, fuel: int):
+    """The verdict and detail of a closed atom, decided once on the frame T:
+    any code realizes a true atom, none a false one."""
+    key = (phi, fuel)
+    got = T._atoms.get(key)
+    if got is None:
+        try:
+            got = (REALIZED, "") if _atom_true(phi, fuel) else (REFUTED, f"atom {print_formula(phi)} is false")
+        except _Exhausted:
+            got = (EXHAUSTED, "fuel")
+        T._atoms[key] = got
+    return got
+
 
 def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     """Whether e realizes phi at the member f of the frame T: REALIZED,
@@ -674,12 +721,7 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     if isinstance(phi, Bot):
         return REFUTED, "falsum has no realizers"
     if isinstance(phi, (Eq, Atom)):
-        try:
-            if _atom_true(phi, cfg.fuel):
-                return REALIZED, ""
-        except _Exhausted:
-            return EXHAUSTED, "fuel"
-        return REFUTED, f"atom {print_formula(phi)} is false"
+        return _atom_status(phi, T, cfg.fuel)
     if isinstance(phi, And):
         n, m = unpair(e)
         st1, d1 = _status(n, phi.left, f, T, cfg)
@@ -698,7 +740,7 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
         return REFUTED, f"disjunction tag {numeral_text(tag)} is neither 0 nor 1"
     if isinstance(phi, Exists):
         w, r = unpair(e)
-        st, d = _status(r, subst(phi.body, {phi.var: num(w)}), f, T, cfg)
+        st, d = _status(r, _instance(phi, w), f, T, cfg)
         if st == REFUTED:
             return REFUTED, f"witness {numeral_text(w)}: {d}"
         return st, d
@@ -706,13 +748,13 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
         pending = False
         for g in T.up(f):
             for m in range(cfg.universe):
-                st, v = _code_apply(e, m, g, cfg.fuel)
+                st, v = _frame_apply(e, m, g, T, cfg.fuel)
                 if st == REFUTED:
                     return REFUTED, f"application fails at {m} over {g.label}: {v}"
                 if st == EXHAUSTED:
                     pending = True
                     continue
-                st2, d2 = _status(v, subst(phi.body, {phi.var: num(m)}), g, T, cfg)
+                st2, d2 = _status(v, _instance(phi, m), g, T, cfg)
                 if st2 == REFUTED:
                     return REFUTED, f"instance {m} fails at {g.label}: {d2}"
                 if st2 == EXHAUSTED:
@@ -724,7 +766,7 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
             members, exhausted = _members(phi.left, g, T, cfg)
             pending = pending or exhausted
             for n in members:
-                st, v = _code_apply(e, n, g, cfg.fuel)
+                st, v = _frame_apply(e, n, g, T, cfg.fuel)
                 if st == REFUTED:
                     return REFUTED, f"application fails on realizer {n} at {g.label}: {v}"
                 if st == EXHAUSTED:
@@ -768,14 +810,14 @@ def realizes(e: int, phi: Formula, f: Oracle, cfg: Budgets = DEFAULT_BUDGETS) ->
     This is the one-point case of `djg_realizes`: over the frame {f}
     implications and universals apply codes with f alone available.
     """
-    _require_checkable(phi)
+    _require_checkable(e, phi)
     return _check(e, phi, f, OraclePoset((f,)), cfg, {"oracle": f.label, "code": e})
 
 
 def djg_realizes(e: int, phi: Formula, f: Oracle, T: OraclePoset,
                  cfg: Budgets = DEFAULT_BUDGETS) -> Outcome:
     """Extension-poset realizability of phi at the node f of T."""
-    _require_checkable(phi)
+    _require_checkable(e, phi)
     if f not in T:
         raise RealizabilityError(f"oracle {f.label} is not a member of the poset")
     return _check(e, phi, f, T, cfg, {"oracle": f.label, "code": e,
@@ -825,6 +867,7 @@ def preal_standard(e: int, phi: Formula, f: Oracle, S: OraclePoset,
     The extension/reducibility agreement is validated first, once per
     poset and budgets; failure is an error carrying the offending pair.
     """
+    _require_natural("code", e)
     report = S._agreement.get(cfg)
     if report is None:
         report = S._agreement[cfg] = check_assumption_A(S, bound=cfg.witness, cfg=cfg)
@@ -898,7 +941,7 @@ def not_not_lift(phi: Formula, T: OraclePoset, g: Oracle, r: int, at: Oracle,
     covers the nodes it extends).  Returns a report with the canonical
     identity-like code and the cofinality witnesses the lift rests on.
     """
-    _require_checkable(phi)
+    _require_checkable(r, phi)
     if at not in T or g not in T:
         raise RealizabilityError("both the target and the extension must belong to the poset")
     st, d = _status(r, phi, g, T, cfg)

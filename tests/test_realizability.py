@@ -222,6 +222,34 @@ def test_apply_requires_positive_fuel():
         apply(identity_code(), 0, EMPTY_ORACLE, fuel=0)
 
 
+ENTRY_POINTS = {
+    "apply": lambda e, phi, f, T: apply(e, 0, f),
+    "realizes": lambda e, phi, f, T: realizes(e, phi, f),
+    "djg_realizes": lambda e, phi, f, T: djg_realizes(e, phi, f, T),
+    "preal_standard": lambda e, phi, f, T: preal_standard(e, phi, f, T),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("code", [-1, True, 1.0])
+def test_codes_that_are_not_naturals_are_refused_before_any_step(entry, code, monkeypatch):
+    # unchecked, -1 would reach isqrt through unpair, and apply would call it the zero code
+    from nucforce import realizability
+
+    def no_step(*args):
+        raise AssertionError("the machine ran")
+
+    monkeypatch.setattr(realizability, "_run", no_step)
+    f0, _, T = _chain_poset()
+    with pytest.raises(RealizabilityError, match=f"^code {code!r} is not a natural number$"):
+        ENTRY_POINTS[entry](code, parse("0 = 0 /\\ 0 = 0"), f0, T)
+
+
+def test_apply_refuses_an_input_that_is_not_a_natural():
+    with pytest.raises(RealizabilityError, match="^input -1 is not a natural number$"):
+        apply(identity_code(), -1, EMPTY_ORACLE)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 60), st.integers(0, 10), st.integers(5, 60))
 def test_fuel_monotonicity(e, n, fuel):
@@ -480,6 +508,19 @@ def test_induction_realizer_on_a_simple_scheme():
     assert out.realized, out.detail
 
 
+def test_induction_check_refutes_wrong_codes_once_the_scan_reaches_a_step_realizer():
+    # Criterion 6's candidate bound 8 is below every realizer of the step
+    # (S is 16, K 17), so its step clause ranges over nothing and K and the
+    # identity pass too; from 17 on, the scan finds K and they are refuted
+    cfg = Budgets(fuel=20000, witness=16, universe=11, candidates=17)
+    axiom = induction_axiom(parse("x + 0 = x"), "x")
+    want = {induction_realizer(): REALIZED, encode("K"): REFUTED, identity_code(): REFUTED}
+    assert encode("K") == 17
+    for code, verdict in want.items():
+        assert VERDICT_OF[kleene_verdict(code, axiom, EMPTY_ORACLE, cfg)] == verdict, code
+        assert realizes(code, axiom, EMPTY_ORACLE, cfg).verdict == verdict, code
+
+
 # ------------------------------------------- extension-poset realizability
 
 def _chain_poset():
@@ -623,6 +664,67 @@ def test_repeated_check_on_a_frame_scans_no_antecedent_again(monkeypatch):
     assert calls[scanned:] == [(0, phi)]
 
 
+def _counted_applications(monkeypatch):
+    """The (code, input, oracle, fuel) of every machine run the checker starts."""
+    from nucforce import realizability
+
+    calls = []
+    code_apply = realizability._code_apply
+
+    def counted(e, n, f, fuel):
+        calls.append((e, n, f.label, fuel))
+        return code_apply(e, n, f, fuel)
+
+    monkeypatch.setattr(realizability, "_code_apply", counted)
+    return calls
+
+
+def test_repeated_check_on_a_frame_runs_no_application_again(monkeypatch):
+    calls = _counted_applications(monkeypatch)
+    T = OraclePoset((EMPTY_ORACLE,))
+    # K I applied to each numeral gives I, which is then applied to every
+    # realizer of each antecedent x = 0
+    phi = parse("forall x. (x = 0 -> x = 0)")
+    e, cfg = halting_code(identity_code()), Budgets(universe=4, candidates=8)
+    first = djg_realizes(e, phi, EMPTY_ORACLE, T, cfg)
+    assert first.realized and len(calls) == len(set(calls)) > cfg.universe
+    applied = len(calls)
+    again = djg_realizes(e, phi, EMPTY_ORACLE, T, cfg)
+    assert again.to_dict() == first.to_dict()
+    assert len(calls) == applied
+
+
+@pytest.mark.parametrize("order", [(1, 300), (300, 1)])
+@pytest.mark.parametrize("e, text", [
+    # K 0 needs two steps on any input: its decode and the K step
+    (halting_code(0), "forall x. 0 = 0"),
+    # the StepHalt bound needs 6 units of fuel before any step
+    (0, f"StepHalt({halting_code(0)}, 0, 5)"),
+])
+def test_frame_memo_keeps_fuel_apart(order, e, text):
+    T = OraclePoset((EMPTY_ORACLE,))
+    phi = parse(text)
+    verdicts = {}
+    for fuel in order:
+        cfg = Budgets(fuel=fuel)
+        verdicts[fuel] = djg_realizes(e, phi, EMPTY_ORACLE, T, cfg).verdict
+        assert verdicts[fuel] == djg_realizes(e, phi, EMPTY_ORACLE, OraclePoset((EMPTY_ORACLE,)), cfg).verdict
+    assert verdicts == {1: EXHAUSTED, 300: REALIZED}
+
+
+def test_two_realizes_calls_share_nothing(monkeypatch):
+    # each call checks on a one-point frame of its own, so the second
+    # runs every application the first did
+    calls = _counted_applications(monkeypatch)
+    phi = parse("forall x. (x = 0 -> x = 0)")
+    e, cfg = halting_code(identity_code()), Budgets(universe=4, candidates=8)
+    first = realizes(e, phi, EMPTY_ORACLE, cfg)
+    applied = list(calls)
+    assert applied
+    assert realizes(e, phi, EMPTY_ORACLE, cfg).to_dict() == first.to_dict()
+    assert calls == applied + applied
+
+
 def test_an_exhausted_instance_or_consequent_leaves_the_verdict_pending():
     """The application succeeds and returns the diverging code, whose own
     applications run out of fuel: an instance of the outer universal, and
@@ -753,6 +855,41 @@ def test_a_refutation_through_an_antecedent_scan_is_relative_to_the_candidate_bo
     caveats = separation_demo()["header"]["caveats"]
     assert not any("absolute" in c.lower() for c in caveats)
     assert any("relative to the candidate bound" in c for c in caveats)
+
+
+def test_separation_demo_decides_each_application_and_atom_once_per_frame(monkeypatch):
+    # every machine run and atom check happens inside a `_status` call,
+    # whose frame argument names the frame whose memos it fills
+    from nucforce import realizability
+
+    frames, apps, atoms = [], [], []
+    status, code_apply, atom_true = realizability._status, realizability._code_apply, realizability._atom_true
+
+    def in_frame(e, phi, f, T, cfg):
+        frames.append(T)
+        try:
+            return status(e, phi, f, T, cfg)
+        finally:
+            frames.pop()
+
+    def counted_apply(e, n, f, fuel):
+        apps.append((id(frames[-1]), e, n, f.table, fuel))
+        return code_apply(e, n, f, fuel)
+
+    def counted_atom(phi, fuel):
+        atoms.append((id(frames[-1]), phi, fuel))
+        return atom_true(phi, fuel)
+
+    monkeypatch.setattr(realizability, "_status", in_frame)
+    monkeypatch.setattr(realizability, "_code_apply", counted_apply)
+    monkeypatch.setattr(realizability, "_atom_true", counted_atom)
+    report = separation_demo()
+    assert report["all_green"] is True
+    # the demo's two frames, the chain and the singleton, live through the
+    # whole run, so no frame id is reused
+    assert len({key[0] for key in apps}) == 2
+    assert apps and len(apps) == len(set(apps))
+    assert atoms and len(atoms) == len(set(atoms))
 
 
 def test_separation_demo_all_green():
