@@ -1,9 +1,10 @@
 """Nuclei (local operators) on a finite Heyting algebra.
 
 A nucleus is an inflationary, idempotent endomap that preserves binary
-meets.  This module recognises them, enumerates all of them, exposes the
-pointwise order, denseness, and frames (finite sets of nuclei used as
-Kripke-style worlds by the forcing translation).
+meets.  This module recognises and enumerates them, reads their pointwise
+order, denseness and equality off their fixed-point sets, and builds
+frames (finite sets of nuclei used as Kripke-style worlds by the forcing
+translation).
 
 Enumeration is in closed form.  On a finite Heyting algebra a nucleus is
 fixed by its set of fixed points, and every fixed-point set is the
@@ -33,6 +34,12 @@ class NucleusError(ValueError):
 
 @dataclass(frozen=True)
 class Nucleus:
+    """A nucleus j, applied, printed and sorted by `table`.  `fixed` is Fix(j)
+    as a bit mask (bit a set when j(a) = a); order, denseness (bottom fixed)
+    and equality read it alone.  j <= k iff Fix(k) is within Fix(j): if j <= k
+    and k(a) = a, then a <= j(a) <= k(a) = a; if Fix(k) is within Fix(j), then
+    j(a) <= j(k(a)) = k(a).  As j(a) is the least fixed point >= a, the mask determines j."""
+
     algebra: HeytingAlg
     table: tuple[int, ...]
     name: str = ""
@@ -41,22 +48,16 @@ class Nucleus:
         ok, witness = is_nucleus(self.algebra, self.table)
         if not ok:
             raise NucleusError(f"not a nucleus: {witness}")
+        object.__setattr__(self, "fixed", sum(1 << a for a, v in enumerate(self.table) if a == v))
 
     def __call__(self, a: int) -> int:
         return self.table[a]
 
     def __eq__(self, other):
-        return isinstance(other, Nucleus) and self.table == other.table and self.algebra is other.algebra
+        return isinstance(other, Nucleus) and self.fixed == other.fixed and self.algebra is other.algebra
 
     def __hash__(self):
-        # memo keys hash the nucleus on every lookup; hash the table once,
-        # on first use, so enumeration itself does no extra work
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.table)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self.fixed)
 
     def __repr__(self):
         label = self.name or "nucleus"
@@ -74,15 +75,14 @@ class LopFrame:
     members: tuple[Nucleus, ...]
 
     def __post_init__(self):
-        tables = [m.table for m in self.members]
-        if len(set(tables)) != len(tables):
+        masks = [m.fixed for m in self.members]
+        if len(set(masks)) != len(masks):
             raise NucleusError("duplicate nucleus table in frame")
         for m in self.members:
             if m.algebra is not self.algebra:
                 raise NucleusError("frame member on a different algebra")
-        # frames key memo tables; hashing the algebra's tables on every
-        # lookup would dominate, so hash the member tables once
-        object.__setattr__(self, "_hash", hash(tuple(tables)))
+        # frames key memos: hash the member masks once, not the algebra per lookup
+        object.__setattr__(self, "_hash", hash(tuple(masks)))
 
     def __hash__(self):
         return self._hash
@@ -140,11 +140,10 @@ def enumerate_nuclei(h: HeytingAlg) -> list[Nucleus]:
 
 
 def nucleus_le(j: Nucleus, k: Nucleus) -> bool:
-    """Pointwise order: j(a) <= k(a) for every carrier element."""
+    """Pointwise order j <= k, read as Fix(k) within Fix(j) (see `Nucleus`)."""
     if j.algebra is not k.algebra:
         raise NucleusError("nucleus order needs a shared algebra")
-    h = j.algebra
-    return all(h.le(j.table[a], k.table[a]) for a in h.carrier)
+    return not k.fixed & ~j.fixed
 
 
 def identity_nucleus(h: HeytingAlg) -> Nucleus:
@@ -170,8 +169,8 @@ def top_nucleus(h: HeytingAlg) -> Nucleus:
 
 
 def is_dense(j: Nucleus) -> bool:
-    """Dense means j(bottom) = bottom (equivalently j below double negation)."""
-    return j.table[j.algebra.bottom] == j.algebra.bottom
+    """Dense means bottom is fixed (equivalently j below double negation)."""
+    return bool(j.fixed >> j.algebra.bottom & 1)
 
 
 def frame_up(frame: LopFrame, j: Nucleus) -> list[Nucleus]:

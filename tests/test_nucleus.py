@@ -193,6 +193,25 @@ def test_pointwise_order_extremes():
         assert nucleus_le(j, top_j)
 
 
+def test_order_density_and_equality_agree_with_a_table_scan():
+    # the reference reads tables only, never the fixed-point masks
+    pairs = 0
+    for p in all_posets(4):
+        h = upset_algebra(p)
+        named = [double_negation(h), top_nucleus(h)]
+        named += [build(h, u) for u in h.carrier for build in (closed_nucleus, open_nucleus)]
+        nuclei = enumerate_nuclei(h) + named
+        for j in nuclei:
+            assert is_dense(j) == (j(h.bottom) == h.bottom), j
+            for k in nuclei:
+                assert nucleus_le(j, k) == all(h.le(j(a), k(a)) for a in h.carrier), (j, k)
+                assert (j == k) == (j.table == k.table), (j, k)
+                if j == k:
+                    assert hash(j) == hash(k), (j, k)
+                pairs += 1
+    assert pairs == 22596
+
+
 def test_frame_rejects_duplicates_and_foreign_members():
     h = upset_algebra(FinPoset.chain(2))
     jid = identity_nucleus(h)
