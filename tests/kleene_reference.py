@@ -1,10 +1,13 @@
-"""Verdict-only Kleene realizability relative to one oracle.
+"""Verdict-only Kleene realizability relative to one oracle, and over a
+frame of oracles.
 
-An independent reference for `realizes` and for `djg_realizes` on a
-one-point frame.  It shares the machine (`_code_apply`), the pairing
-inverse and substitution with the code under test and restates every
-clause, and the equality atoms, here.  Verdicts are "R" (realized within the
-budgets), "F" (refuted) and "E" (a budget ran out).
+An independent reference for `realizes` and for `djg_realizes`:
+`kleene_verdict` on a one-point frame, `frame_verdict` on a frame of any
+size, where implications and universals range over the members whose
+tables contain the current one.  Both share the machine (`_code_apply`),
+the pairing inverse and substitution with the code under test and restate
+every clause, and the equality atoms, here.  Verdicts are "R" (realized
+within the budgets), "F" (refuted) and "E" (a budget ran out).
 """
 
 from nucforce.formula import And, Bot, Eq, Exists, Forall, Imp, Monus, NumLit, Or, Plus, Succ, Times, Zero, subst
@@ -73,3 +76,51 @@ def kleene_verdict(e: int, phi, f, cfg) -> str:
         return st if st != "R" else verdict(v, psi)
 
     return verdict(e, phi)
+
+
+def frame_verdict(e: int, phi, f, oracles, cfg, above=None) -> str:
+    """Whether code e realizes the closed sentence phi at the member f of
+    the frame `oracles`.  Implications and universals are checked at every
+    extension: each member whose table holds every entry of the current
+    one, read off the tables.  `above`, given a member, replaces that list
+    of extensions."""
+
+    def extensions(g):
+        return [h for h in oracles if set(g.table) <= set(h.table)]
+
+    above = above or extensions
+
+    def verdict(e, phi, g):
+        if isinstance(phi, Bot):
+            return "F"
+        if isinstance(phi, Eq):
+            return "R" if _value(phi.left) == _value(phi.right) else "F"
+        if isinstance(phi, And):
+            n, m = unpair(e)
+            return _worst((verdict(n, phi.left, g), verdict(m, phi.right, g)))
+        if isinstance(phi, Or):
+            tag, n = unpair(e)
+            return verdict(n, (phi.left, phi.right)[tag], g) if tag in (0, 1) else "F"
+        if isinstance(phi, Exists):
+            w, r = unpair(e)
+            return verdict(r, subst(phi.body, {phi.var: NumLit(w)}), g)
+        if isinstance(phi, Forall):
+            return _worst(applied(e, m, subst(phi.body, {phi.var: NumLit(m)}), h)
+                          for h in above(g) for m in range(cfg.universe))
+        if isinstance(phi, Imp):
+            return _worst(implied(e, phi, h) for h in above(g))
+        raise ValueError(f"no clause for {phi!r}")
+
+    def implied(e, phi, h):
+        # the implication's clause at the one extension h
+        antecedent = [verdict(c, phi.left, h) for c in range(cfg.candidates)]
+        body = _worst(applied(e, n, phi.right, h) for n, v in enumerate(antecedent) if v == "R")
+        return "E" if body == "R" and "E" in antecedent else body
+
+    def applied(e, n, psi, h):
+        # apply e to n relative to h, then check the result against psi at h
+        got, v = _code_apply(e, n, h, cfg.fuel)
+        st = LETTER_OF[got]
+        return st if st != "R" else verdict(v, psi, h)
+
+    return verdict(e, phi, f)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucforce.formula import Imp, neg, parse
+from nucforce.formula import Imp, neg, parse, print_formula
 from nucforce.realizability import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -49,7 +49,7 @@ from nucforce.realizability import (
 )
 from nucforce.formula import PiOrPi, Sigma, universal_instance
 
-from kleene_reference import VERDICT_OF, kleene_verdict
+from kleene_reference import VERDICT_OF, frame_verdict, kleene_verdict
 from machine_reference import decode as reference_decode, reference_apply, step_halts as reference_step_halts
 
 
@@ -585,6 +585,63 @@ def test_djg_implication_quantifies_over_extensions():
     assert djg_realizes(e, phi, f1, T).realized
     # at the root the checker must also survive the f1 node
     assert djg_realizes(e, phi, f0, T).realized
+
+
+# frames of two, three and four members: a chain whose top answers ORA
+# at 0, 1 and 2, a fork, and the diamond over that fork
+_F0 = Oracle.from_dict("f0", {})
+_G1, _G2 = Oracle.from_dict("g1", {0: 2}), Oracle.from_dict("g2", {1: 1})
+REFERENCE_FRAMES = [(_F0, Oracle.from_dict("a", {0: 0, 1: 0, 2: 0})), (_F0, _G1, _G2),
+                    (_F0, _G1, _G2, Oracle.from_dict("g12", {0: 2, 1: 1}))]
+REFERENCE_STOCK = [parse(s) for s in [
+    "0 = 0", "0 = 1", "bot", "0 = 0 /\\ 1 = 1", "0 = 0 \\/ bot", "exists x. x = 2",
+    "forall x. x + 0 = x", "forall x. x = 1", "0 = 0 -> 1 = 1", "0 = 0 -> bot", "~ 0 = 1",
+    "forall x. exists y. y = x", "forall x. exists y. y = 0", "~ ~ 0 = 0", "(0 = 0 -> 0 = 0) -> 0 = 0",
+    "forall x. (x = 0 -> x = 0)", "(forall x. exists y. y = 0) -> forall x. exists y. y = 0",
+    "~ forall x. exists y. y = 0",
+]]
+# codes below 16 decode to the zero numeral; ORA (25) and the codes built
+# on it apply only where the oracle answers
+REFERENCE_CODES = [0, 1, 2, 16, 17, 18, 19, 20, 21, encode("ORA"), identity_code(), halting_code(0),
+                   diverging_code(), encode(app("K", "ORA")), encode(app("K", app("K", numt(0)))),
+                   encode(lam("x", app("PAIR", app("ORA", ("var", "x")), numt(0)))), encode(app("K", "K"))]
+
+
+def _frame_rows(reference, frames, sentences, codes, cfg, at_root=False):
+    """Every (code, sentence, member) row of the frames, with the verdicts of
+    `djg_realizes` and of the reference."""
+    rows = []
+    for frame in frames:
+        T = OraclePoset(frame)
+        for f in frame[:1] if at_root else frame:
+            for e in codes:
+                for phi in sentences:
+                    got = djg_realizes(e, phi, f, T, cfg).verdict
+                    rows.append((e, print_formula(phi), f.label, got, VERDICT_OF[reference(e, phi, f, frame, cfg)]))
+    return rows
+
+
+def test_multi_node_frames_match_the_frame_reference():
+    cfg = Budgets(fuel=300, witness=8, universe=3, candidates=26)
+    rows = _frame_rows(frame_verdict, REFERENCE_FRAMES, REFERENCE_STOCK, REFERENCE_CODES, cfg)
+    assert len(rows) == 2754
+    assert [r for r in rows if r[3] != r[4]] == []
+    assert {r[3] for r in rows} == {REALIZED, REFUTED, EXHAUSTED}
+
+
+def test_a_reference_checking_only_at_the_node_misses_the_extensions():
+    # at the root of the chain no code realizes the antecedent, while ORA
+    # (25) does at the top; the codes below 32 all fail on it there, so
+    # a check at the root alone finds them vacuously realized
+    def only_at_f(e, phi, f, oracles, cfg):
+        return frame_verdict(e, phi, f, oracles, cfg, above=lambda g: [g])
+
+    cfg = Budgets(fuel=400, witness=8, universe=3, candidates=26)
+    phi = parse("(forall x. exists y. y = 0) -> forall x. exists y. y = 0")
+    rows = _frame_rows(only_at_f, REFERENCE_FRAMES[:1], [phi], range(32), cfg, at_root=True)
+    assert {(r[3], r[4]) for r in rows} == {(REFUTED, REALIZED)}
+    rows = _frame_rows(frame_verdict, REFERENCE_FRAMES[:1], [phi], range(32), cfg, at_root=True)
+    assert {(r[3], r[4]) for r in rows} == {(REFUTED, REFUTED)}
 
 
 def test_check_assumption_a_on_an_extension_chain():
