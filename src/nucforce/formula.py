@@ -606,20 +606,15 @@ def subst(phi: Formula, env: dict[str, Term]) -> Formula:
     raise FormulaError(f"unknown formula node of type {type(phi).__name__}")
 
 
-def atoms_of(phi: Formula) -> set[tuple[str, int]]:
-    """All relation symbols with their arities."""
-    if isinstance(phi, Atom):
-        return {(phi.rel, len(phi.args))}
-    if isinstance(phi, (And, Or, Imp)):
-        return atoms_of(phi.left) | atoms_of(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return atoms_of(phi.body)
-    return set()
-
-
 def has_abstract(phi: Formula) -> bool:
     """True if the formula uses an uninterpreted relation symbol."""
-    return any(rel != STEP_HALT for rel, _ in atoms_of(phi))
+    if isinstance(phi, Atom):
+        return phi.rel != STEP_HALT
+    if isinstance(phi, (And, Or, Imp)):
+        return has_abstract(phi.left) or has_abstract(phi.right)
+    if isinstance(phi, (Forall, Exists)):
+        return has_abstract(phi.body)
+    return False
 
 
 # ---------------------------------------------------------- classifiers

@@ -10,8 +10,11 @@ strict arguments of a combinator wait on an explicit stack, not in
 nested calls, so a deeply nested code runs until its fuel is spent.
 
 One checker runs on the machine: realizability over a poset of oracles
-ordered by extension, where implications and universals quantify over
-the larger oracles.  Plain realizability relative to one oracle is its
+ordered by extension.  Implications and universals, the two connectives
+the forcing translation guards, share one clause that quantifies over
+the larger oracles: at each, the code applied to every antecedent
+realizer, or to every numeral below the universe, realizes the
+consequent, or the instance.  Plain realizability relative to one oracle is its
 case on the one-point frame, and the standard-frame entry point first
 validates the extension/reducibility agreement and then defers to the
 same clauses.  The frame memoizes what every check on it repeats: the
@@ -567,12 +570,11 @@ class Budgets:
     candidates: int = 32      # antecedent realizer codes scanned per implication
 
     def __post_init__(self):
-        if min(self.fuel, self.witness, self.universe, self.candidates) < 1:
+        if min(vars(self).values()) < 1:
             raise RealizabilityError("all budgets must be positive")
 
     def to_dict(self) -> dict:
-        return {"fuel": self.fuel, "witness": self.witness,
-                "universe": self.universe, "candidates": self.candidates}
+        return dict(vars(self))  # the fields, in declaration order
 
 
 DEFAULT_BUDGETS = Budgets()
@@ -712,9 +714,10 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     """Whether e realizes phi at the member f of the frame T: REALIZED,
     REFUTED or EXHAUSTED (out of budget), with a detail for REFUTED.
 
-    Implications and universals quantify over every extension of f in T
-    and apply codes with that extension available; the remaining clauses
-    behave as at f.  On a one-point frame this is plain realizability
+    Implications and universals, the connectives the forcing translation
+    guards, are one clause, `_guarded`: it quantifies over every extension
+    of f in T and applies codes with that extension available; the
+    remaining clauses behave as at f.  On a one-point frame this is plain realizability
     relative to the oracle, with the consequent-side modality absorbed
     into oracle application (the guarded form of the relative implication).
     """
@@ -745,40 +748,41 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
             return REFUTED, f"witness {numeral_text(w)}: {d}"
         return st, d
     if isinstance(phi, Forall):
-        pending = False
-        for g in T.up(f):
-            for m in range(cfg.universe):
-                st, v = _frame_apply(e, m, g, T, cfg.fuel)
-                if st == REFUTED:
-                    return REFUTED, f"application fails at {m} over {g.label}: {v}"
-                if st == EXHAUSTED:
-                    pending = True
-                    continue
-                st2, d2 = _status(v, _instance(phi, m), g, T, cfg)
-                if st2 == REFUTED:
-                    return REFUTED, f"instance {m} fails at {g.label}: {d2}"
-                if st2 == EXHAUSTED:
-                    pending = True
-        return (EXHAUSTED, "budget") if pending else (REALIZED, "")
+        return _guarded(e, phi, f, T, cfg, lambda phi, g, T, cfg: (range(cfg.universe), False), _instance,
+                        "application fails at {} over {}: {}", "instance {} fails at {}: {}")
     if isinstance(phi, Imp):
-        pending = False
-        for g in T.up(f):
-            members, exhausted = _members(phi.left, g, T, cfg)
-            pending = pending or exhausted
-            for n in members:
-                st, v = _frame_apply(e, n, g, T, cfg.fuel)
-                if st == REFUTED:
-                    return REFUTED, f"application fails on realizer {n} at {g.label}: {v}"
-                if st == EXHAUSTED:
-                    pending = True
-                    continue
-                st2, d2 = _status(v, phi.right, g, T, cfg)
-                if st2 == REFUTED:
-                    return REFUTED, f"consequent fails for realizer {n} at {g.label}: {d2}"
-                if st2 == EXHAUSTED:
-                    pending = True
-        return (EXHAUSTED, "budget") if pending else (REALIZED, "")
+        return _guarded(e, phi, f, T, cfg, lambda phi, g, T, cfg: _members(phi.left, g, T, cfg),
+                        lambda phi, n: phi.right,
+                        "application fails on realizer {} at {}: {}", "consequent fails for realizer {} at {}: {}")
     raise RealizabilityError(f"cannot check node {phi!r}")
+
+
+def _guarded(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets, scan, body,
+             fails_apply: str, fails_body: str):
+    """The one clause of the guarded node phi: at every extension g of f in
+    T, e applied to each input n that `scan(phi, g, T, cfg)` yields, with g
+    available, gives a realizer of `body(phi, n)` at g.  The scan also says
+    whether it ran out of budget.  A refutation's detail is `fails_apply`
+    or `fails_body` filled with n, g's label and the failure.  The scan and
+    the body take phi rather than close over it, so `_status` holds no
+    closure cells."""
+    pending = False
+    for g in T.up(f):
+        inputs, exhausted = scan(phi, g, T, cfg)
+        pending = pending or exhausted
+        for n in inputs:
+            st, v = _frame_apply(e, n, g, T, cfg.fuel)
+            if st == REFUTED:
+                return REFUTED, fails_apply.format(n, g.label, v)
+            if st == EXHAUSTED:
+                pending = True
+                continue
+            st2, d2 = _status(v, body(phi, n), g, T, cfg)
+            if st2 == REFUTED:
+                return REFUTED, fails_body.format(n, g.label, d2)
+            if st2 == EXHAUSTED:
+                pending = True
+    return (EXHAUSTED, "budget") if pending else (REALIZED, "")
 
 
 def _members(phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
@@ -1057,7 +1061,7 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
         entries.append({"formula": print_formula(formula), "verdict": out.verdict})
     report["sections"]["i"] = {
         "label": "halting-search DNE realized at the root",
-        "green": all(en["verdict"] == REALIZED for en in entries),
+        "green": bool(entries) and all(en["verdict"] == REALIZED for en in entries),
         "instances": entries,
     }
 

@@ -949,6 +949,14 @@ def test_separation_demo_decides_each_application_and_atom_once_per_frame(monkey
     assert atoms and len(atoms) == len(set(atoms))
 
 
+def test_separation_demo_section_i_is_not_green_without_an_instance():
+    # with 2 steps no halting_code(k) halts on 0, so section (i) checks
+    # nothing and must not claim the DNE realized
+    section = separation_demo(Budgets(fuel=8, witness=8, universe=2, candidates=2))["sections"]["i"]
+    assert section["instances"] == []
+    assert section["green"] is False
+
+
 def test_separation_demo_all_green():
     report = separation_demo()
     assert report["all_green"] is True
