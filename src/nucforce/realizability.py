@@ -14,11 +14,11 @@ ordered by extension.  Implications and universals, the two connectives
 the forcing translation guards, share one clause that quantifies over
 the larger oracles: at each, the code applied to every antecedent
 realizer, or to every numeral below the universe, realizes the
-consequent, or the instance.  Plain realizability relative to one oracle is its
-case on the one-point frame, and the standard-frame entry point first
-validates the extension/reducibility agreement and then defers to the
-same clauses.  The frame memoizes what every check on it repeats: the
-antecedent realizers an implication scans, the checker's machine
+consequent, or the instance.  Plain realizability relative to one oracle
+is its case on the one-point frame, and the standard-frame entry point
+first validates the extension/reducibility agreement and then defers to
+the same clauses.  The frame memoizes what every check on it repeats:
+the antecedent realizers an implication scans, the checker's machine
 applications and its closed-atom verdicts, each decided once per frame.
 
 All verdicts are budgeted: Realized is certified only for the supplied
@@ -715,11 +715,11 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     REFUTED or EXHAUSTED (out of budget), with a detail for REFUTED.
 
     Implications and universals, the connectives the forcing translation
-    guards, are one clause, `_guarded`: it quantifies over every extension
-    of f in T and applies codes with that extension available; the
-    remaining clauses behave as at f.  On a one-point frame this is plain realizability
-    relative to the oracle, with the consequent-side modality absorbed
-    into oracle application (the guarded form of the relative implication).
+    guards, are one clause, `_guarded`, over every extension of f in T,
+    which applies codes with that extension available; the other clauses
+    behave as at f.  On a one-point frame this is plain realizability
+    relative to the oracle, with the consequent-side modality absorbed into
+    oracle application (the guarded form of the relative implication).
     """
     if isinstance(phi, Bot):
         return REFUTED, "falsum has no realizers"
@@ -760,12 +760,11 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
 def _guarded(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets, scan, body,
              fails_apply: str, fails_body: str):
     """The one clause of the guarded node phi: at every extension g of f in
-    T, e applied to each input n that `scan(phi, g, T, cfg)` yields, with g
-    available, gives a realizer of `body(phi, n)` at g.  The scan also says
-    whether it ran out of budget.  A refutation's detail is `fails_apply`
-    or `fails_body` filled with n, g's label and the failure.  The scan and
-    the body take phi rather than close over it, so `_status` holds no
-    closure cells."""
+    T, e applied to each input n that `scan(phi, g, T, cfg)` yields (with
+    whether the scan ran out of budget) gives, with g available, a realizer
+    of `body(phi, n)` at g.  Refutations fill `fails_apply` or `fails_body`
+    with n, g's label and the failure.  The scan and body take phi rather
+    than close over it, so `_status` keeps no cell variables."""
     pending = False
     for g in T.up(f):
         inputs, exhausted = scan(phi, g, T, cfg)
