@@ -1,9 +1,11 @@
 """First-order formula ASTs, the surface parser, and hierarchy classifiers.
 
-The term signature is {0, S, +, *, -.} plus numerals.  Atoms are either
-uninterpreted relation symbols (used by the lattice-model backend) or
-the arithmetic atoms t = t and StepHalt(e, x, w) (used by the machine
-backend).  `~p` is sugar for `p -> bot` and `bot` is falsum.
+Terms are variables, numerals (one node, NumLit, 0 included), S, +, *
+and -. (monus).  Atoms are either uninterpreted relation symbols (used
+by the lattice-model backend) or the arithmetic atoms t = t and
+StepHalt(e, x, w) (used by the machine backend).  `~p` is sugar for
+`p -> bot` and `bot` is falsum.  Terms and formulas each have one
+printer, `print_term` and `print_formula`, which their reprs call.
 
 The same AST carries the modal language that the translations target:
 Mod(j, phi), printed `[j]phi`, applies the nucleus named j to the value
@@ -22,29 +24,18 @@ from dataclasses import dataclass
 # ---------------------------------------------------------------- terms
 
 class Term:
-    pass
+    def __repr__(self):
+        return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Var(Term):
     name: str
 
-    def __repr__(self):
-        return self.name
 
-
-@dataclass(frozen=True)
-class Zero(Term):
-    def __repr__(self):
-        return "0"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NumLit(Term):
     value: int
-
-    def __repr__(self):
-        return numeral_text(self.value)
 
 
 def numeral_text(n: int) -> str:
@@ -56,27 +47,24 @@ def numeral_text(n: int) -> str:
         return f"<numeral of {n.bit_length()} bits>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Succ(Term):
     arg: Term
 
-    def __repr__(self):
-        return f"S({self.arg!r})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Plus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Times(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Monus(Term):
     left: Term
     right: Term
@@ -169,7 +157,7 @@ def _node_hash(self) -> int:
         return h
 
 
-for _node in (Bot, Atom, Eq, And, Or, Imp, Forall, Exists, Mod, GuardAll):
+for _node in Formula.__subclasses__():
     _node.__hash__ = _node_hash
 
 
@@ -180,10 +168,6 @@ FIXED_ARITIES = {STEP_HALT: 3}
 
 def neg(phi: Formula) -> Formula:
     return Imp(phi, BOT)
-
-
-def num(n: int) -> Term:
-    return Zero() if n == 0 else NumLit(n)
 
 
 # --------------------------------------------------------------- parser
@@ -418,7 +402,7 @@ class Parser:
         if tok and tok[0].islower() and tok not in KEYWORDS:
             self.take()
             return Var(tok)
-        return num(self.numeral("a term"))
+        return NumLit(self.numeral("a term"))
 
 
 def parse(text: str) -> Formula:
@@ -470,8 +454,10 @@ def read_json(path: str, error: type[Exception]):
 # -------------------------------------------------------------- printer
 
 def print_term(t: Term, level: int = 0) -> str:
-    if isinstance(t, (Var, Zero, NumLit)):
-        return repr(t)
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, NumLit):
+        return numeral_text(t.value)
     if isinstance(t, Succ):
         return f"S({print_term(t.arg)})"
     if isinstance(t, Times):
@@ -699,10 +685,10 @@ def scheme(cls: FormulaClass, ax: str, instance: Formula) -> Formula:
 def universal_instance(cls: FormulaClass, e: int, x: int, e2: int | None = None, x2: int | None = None) -> Formula:
     """Machine-backed instance formulas of the low hierarchy classes."""
     def sigma1(code, arg):
-        return Exists("w", Atom(STEP_HALT, (num(code), num(arg), Var("w"))))
+        return Exists("w", Atom(STEP_HALT, (NumLit(code), NumLit(arg), Var("w"))))
 
     def pi1(code, arg):
-        return Forall("w", neg(Atom(STEP_HALT, (num(code), num(arg), Var("w")))))
+        return Forall("w", neg(Atom(STEP_HALT, (NumLit(code), NumLit(arg), Var("w")))))
 
     if cls == Sigma(1):
         return sigma1(e, x)

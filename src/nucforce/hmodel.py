@@ -285,6 +285,10 @@ class SceneEval:
     `MAX_BASIS_NUCLEI`; frame predicates and the countermodel search use
     the frame itself, so a basis is no larger than what its caller reads.
 
+    Over (frame, frame), entry i of a `forcing` row is component i of gg
+    on the monotone families over the frame, by the induction stated in
+    `forcing_translate`; `tests/frame_algebra_reference.py` checks it.
+
     A translation is compiled once per process: `_compiled` maps the
     translation function and phi to a root in an intern table (`_node`)
     that holds one node per distinct translated subformula, compared by
@@ -317,8 +321,8 @@ class SceneEval:
     at the frame members above `basis.members[i]`, which `ups` lists once
     per (frame, basis).
 
-    `trp_val` and `cl_val` return matrices over a pair of bases, built
-    from the gg tables of the two bases, one pass per environment.
+    `trp_val` returns a matrix over a pair of bases and `cl_val` one over
+    a single basis, built from gg tables, one pass per environment.
     Tables, matrices and the lists `envs` and `ups` return are shared:
     callers must not mutate them.
     """
@@ -465,10 +469,10 @@ class SceneEval:
         k = cols.members[l]; cols defaults to rows."""
         return self._matrix(True, phi, rows, rows if cols is None else cols)
 
-    def cl_val(self, phi: Formula, rows: LopFrame, cols: LopFrame | None = None) -> list[list[int]]:
-        """Closure matrix: entry [i][l] is the meet over env of
+    def cl_val(self, phi: Formula, basis: LopFrame) -> list[list[int]]:
+        """Closure matrix over basis: entry [i][l] is the meet over env of
         gg(phi) at j <-> k(gg(phi) at j), with j and k as in `trp_val`."""
-        return self._matrix(False, phi, rows, rows if cols is None else cols)
+        return self._matrix(False, phi, basis, basis)
 
     def _matrix(self, trp: bool, phi: Formula, rows: LopFrame, cols: LopFrame) -> list[list[int]]:
         h = self.h
@@ -476,7 +480,7 @@ class SceneEval:
         tables = [k.table for k in cols.members]
         got = [[top] * len(tables) for _ in rows.members]
         at_js = self.table("gg", phi, rows)
-        at_ks = self.table("gg", phi, cols) if trp and cols is not rows else at_js
+        at_ks = self.table("gg", phi, cols) if cols is not rows else at_js
         for at_j, at_k in zip(at_js, at_ks):
             for row, a in zip(got, at_j):
                 for l, t in enumerate(tables):

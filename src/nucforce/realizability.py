@@ -49,21 +49,24 @@ from .formula import (
     NumLit,
     Or,
     Parser,
+    PiOrPi,
     Plus,
     STEP_HALT,
+    Sigma,
     Succ,
     Times,
     Var,
-    Zero,
     free_vars,
     has_abstract,
     neg,
-    num,
     numeral_text,
+    parse,
     print_formula,
     read_json,
     read_numeral,
+    scheme,
     subst,
+    universal_instance,
 )
 
 
@@ -637,8 +640,6 @@ def _code_apply(e: int, n: int, f: Oracle, fuel: int):
 
 def eval_term(t, env: dict | None = None) -> int:
     env = env or {}
-    if isinstance(t, Zero):
-        return 0
     if isinstance(t, NumLit):
         return t.value
     if isinstance(t, Var):
@@ -684,7 +685,7 @@ def _require_checkable(e, phi: Formula):
 @lru_cache(maxsize=4096)
 def _instance(phi: Formula, m: int) -> Formula:
     """The body of the quantifier phi with the numeral m for its variable."""
-    return subst(phi.body, {phi.var: num(m)})
+    return subst(phi.body, {phi.var: NumLit(m)})
 
 
 def _frame_apply(e: int, n: int, g: Oracle, T: OraclePoset, fuel: int):
@@ -930,7 +931,7 @@ def induction_realizer(psi: Formula | None = None) -> int:
 
 def induction_axiom(psi: Formula, var: str = "x") -> Formula:
     """base -> (step -> every numeral), for the given one-variable formula."""
-    base = subst(psi, {var: Zero()})
+    base = subst(psi, {var: NumLit(0)})
     step = Forall(var, Imp(psi, subst(psi, {var: Succ(Var(var))})))
     return Imp(base, Imp(step, Forall(var, psi)))
 
@@ -1021,8 +1022,6 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
     cfg = cfg or DEMO_BUDGETS
     if candidates is None:
         candidates = default_candidates()
-    from .formula import PiOrPi, Sigma, parse, universal_instance
-
     e_div = diverging_code()
     e_halt = halting_code(0)
     f0 = EMPTY_ORACLE
@@ -1054,8 +1053,7 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
             break
     entries = []
     for e, x in pairs:
-        inst = universal_instance(Sigma(1), e, x)
-        formula = Imp(neg(neg(inst)), inst)
+        formula = scheme(Sigma(1), "DNE", universal_instance(Sigma(1), e, x))
         out = djg_realizes(mp_realizer(e, x), formula, f0, chain, cfg)
         entries.append({"formula": print_formula(formula), "verdict": out.verdict})
     report["sections"]["i"] = {
@@ -1065,8 +1063,7 @@ def separation_demo(cfg: Budgets | None = None, candidates: list[int] | None = N
     }
 
     # (ii) candidate refutation on a disjunctive instance at the root
-    disj = universal_instance(PiOrPi(1), e_div, e_div, e_halt, e_halt)
-    target = Imp(neg(neg(disj)), disj)
+    target = scheme(PiOrPi(1), "DNE", universal_instance(PiOrPi(1), e_div, e_div, e_halt, e_halt))
     entries = []
     for c in candidates:
         out = djg_realizes(c, target, f0, chain, cfg)

@@ -65,6 +65,16 @@ def forcing_translate(phi: Formula, _depth: int = 0) -> Formula:
 
     Implications and universals quantify over all frame members above
     the current nucleus.
+
+    Over a frame P = k_1 ... k_n on H it is gg on the algebra A_P of
+    monotone families (a_i <= a_x when k_i <= k_x), with meet and join
+    componentwise, (a -> b)_i = meet over k_i <= k_x of (a_x -> b_x), and
+    the nucleus J(a)_i = k_i(a_i), monotone as k <= k' and a <= a' give
+    k(a) <= k(a') <= k'(a'): with j bound to k_i, the translation's value
+    is component i of gg on (A_P, J), atoms read as constant families.
+    Proof by induction: atoms, /\\, \\/ and exists are componentwise on
+    both sides, -> is the guard by definition, and the guard of forall is
+    idle on monotone families (meet over k_i <= k_x of a_x is a_i).
     """
     j, k = _nucleus(_depth), _nucleus(_depth + 1)
     if isinstance(phi, (Atom, Eq, Bot)):

@@ -10,7 +10,7 @@ every clause, and the equality atoms, here.  Verdicts are "R" (realized
 within the budgets), "F" (refuted) and "E" (a budget ran out).
 """
 
-from nucforce.formula import And, Bot, Eq, Exists, Forall, Imp, Monus, NumLit, Or, Plus, Succ, Times, Zero, subst
+from nucforce.formula import And, Bot, Eq, Exists, Forall, Imp, Monus, NumLit, Or, Plus, Succ, Times, subst
 from nucforce.realizability import EXHAUSTED, REALIZED, REFUTED, _code_apply, unpair
 
 VERDICT_OF = {"R": REALIZED, "F": REFUTED, "E": EXHAUSTED}
@@ -18,8 +18,6 @@ LETTER_OF = {verdict: letter for letter, verdict in VERDICT_OF.items()}
 
 
 def _value(t) -> int:
-    if isinstance(t, Zero):
-        return 0
     if isinstance(t, NumLit):
         return t.value
     if isinstance(t, Succ):

@@ -15,20 +15,24 @@ from nucforce.formula import (
     FormulaError,
     Imp,
     MAX_NESTING,
+    Monus,
     NumLit,
     Or,
     ParseError,
+    Plus,
     Pi,
     PiOrPi,
     Sigma,
     STEP_HALT,
+    Succ,
+    Times,
     Var,
     free_vars,
     in_class,
     neg,
-    num,
     parse,
     print_formula,
+    print_term,
     scheme,
     subst,
     universal_closure,
@@ -74,18 +78,38 @@ def test_negation_sugar():
 
 
 def test_numeral_literals_print_in_decimal():
-    assert print_formula(Eq(num(3), Var("x"))) == "3 = x"
+    assert print_formula(Eq(NumLit(3), Var("x"))) == "3 = x"
     assert parse("3 = x") == Eq(NumLit(3), Var("x"))
     # successor applications stay structural; only digit literals collapse
-    from nucforce.formula import Succ, Zero
-    assert parse("S(S(0)) = x") == Eq(Succ(Succ(Zero())), Var("x"))
+    assert parse("S(S(0)) = x") == Eq(Succ(Succ(NumLit(0))), Var("x"))
+
+
+def test_every_numeral_is_one_node_zero_included():
+    assert parse("0 = 0") == Eq(NumLit(0), NumLit(0))
+    zero = NumLit(0)
+    assert universal_instance(Sigma(1), 0, 0) == Exists("w", Atom(STEP_HALT, (zero, zero, Var("w"))))
+    assert universal_instance(Pi(1), 0, 0) == Forall("w", neg(Atom(STEP_HALT, (zero, zero, Var("w")))))
+
+
+def test_a_term_prints_the_same_through_repr_and_print_term():
+    cases = [
+        (Var("x"), "x"),
+        (NumLit(0), "0"),
+        (Succ(NumLit(12)), "S(12)"),
+        (Plus(NumLit(1), Succ(Var("x"))), "1+S(x)"),
+        (Times(Plus(Var("x"), NumLit(2)), Var("y")), "(x+2)*y"),
+        (Monus(Var("x"), Monus(Var("y"), NumLit(3))), "x-.(y-.3)"),
+    ]
+    for term, text in cases:
+        assert print_term(term) == text
+        assert repr(term) == text, type(term).__name__
 
 
 def test_numerals_past_the_conversion_limit_print_their_bit_length():
     limit = sys.get_int_max_str_digits()  # 4,300 unless the interpreter is told otherwise
     widest = 10 ** limit - 1
-    assert print_formula(Eq(num(widest), Var("x"))) == "9" * limit + " = x"
-    assert print_formula(Eq(num(widest + 1), Var("x"))) == f"<numeral of {(widest + 1).bit_length()} bits> = x"
+    assert print_formula(Eq(NumLit(widest), Var("x"))) == "9" * limit + " = x"
+    assert print_formula(Eq(NumLit(widest + 1), Var("x"))) == f"<numeral of {(widest + 1).bit_length()} bits> = x"
 
 
 def test_parse_errors():
@@ -130,7 +154,7 @@ def test_free_vars():
 
 def test_subst_replaces_only_free_occurrences():
     phi = parse("R(x) /\\ forall x. Q(x)")
-    out = subst(phi, {"x": num(2)})
+    out = subst(phi, {"x": NumLit(2)})
     assert out == parse("R(2) /\\ forall x. Q(x)")
 
 
@@ -220,7 +244,7 @@ def small_formulas(draw, depth=3):
         if kind == "atom":
             return Atom("R", (Var(draw(st.sampled_from("xyz"))),))
         if kind == "eq":
-            return Eq(Var(draw(st.sampled_from("xyz"))), num(draw(st.integers(0, 3))))
+            return Eq(Var(draw(st.sampled_from("xyz"))), NumLit(draw(st.integers(0, 3))))
         return BOT
     kind = draw(st.sampled_from(["and", "or", "imp", "forall", "exists"]))
     if kind in ("and", "or", "imp"):

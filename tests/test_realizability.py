@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucforce.formula import Imp, neg, parse, print_formula
+from nucforce.formula import Eq, Imp, NumLit, neg, parse, print_formula
 from nucforce.realizability import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -19,6 +19,7 @@ from nucforce.realizability import (
     REALIZED,
     REFUTED,
     RealizabilityError,
+    _instance,
     app,
     apply,
     bounded_halting_oracle,
@@ -499,6 +500,13 @@ def test_mp_realizer_on_a_halting_instance():
     phi = Imp(neg(neg(inst)), inst)
     out = realizes(mp_realizer(e, x), phi, EMPTY_ORACLE)
     assert out.realized, out.detail
+
+
+def test_instances_and_the_induction_base_hold_the_one_numeral_node():
+    zero_eq = Eq(NumLit(0), NumLit(0))
+    assert _instance(parse("forall w. w = 0"), 0) == zero_eq
+    assert _instance(parse("exists w. w = 0"), 3) == Eq(NumLit(3), NumLit(0))
+    assert induction_axiom(parse("x = x"), "x").left == zero_eq
 
 
 def test_induction_realizer_on_a_simple_scheme():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucforce.formula import BOT, And, Formula, FormulaError, Imp, Or, free_vars, num, parse, print_formula, subst
+from nucforce.formula import BOT, And, Formula, FormulaError, Imp, NumLit, Or, free_vars, parse, print_formula, subst
 from nucforce.translate import (
     TRANSLATIONS,
     GuardAll,
@@ -91,9 +91,9 @@ def test_mformula_parser_round_trip_on_goldens():
 
 def test_subst_commutes_with_translation():
     cases = [
-        ("forall y. R(x) -> Q(y)", {"x": num(2)}),
-        ("exists y. R(x) \\/ Q(y)", {"x": num(0)}),
-        ("R(x) /\\ (Q(x) -> R(x))", {"x": num(1)}),
+        ("forall y. R(x) -> Q(y)", {"x": NumLit(2)}),
+        ("exists y. R(x) \\/ Q(y)", {"x": NumLit(0)}),
+        ("R(x) /\\ (Q(x) -> R(x))", {"x": NumLit(1)}),
     ]
     for src, env in cases:
         phi = parse(src)
@@ -129,7 +129,7 @@ def plain_formulas(draw, depth=3):
         if kind == "atom":
             return Atom("R", (Var(draw(st.sampled_from("xy"))),))
         if kind == "eq":
-            return Eq(Var(draw(st.sampled_from("xy"))), num(draw(st.integers(0, 2))))
+            return Eq(Var(draw(st.sampled_from("xy"))), NumLit(draw(st.integers(0, 2))))
         return BOT
     kind = draw(st.sampled_from(["and", "or", "imp", "forall", "exists"]))
     left = draw(plain_formulas(depth=depth - 1))
@@ -166,7 +166,7 @@ def test_unknown_node_raises_formula_error():
     class Stray(Formula):
         pass
 
-    for fn in (print_formula, free_vars, lambda phi: subst(phi, {"x": num(0)})):
+    for fn in (print_formula, free_vars, lambda phi: subst(phi, {"x": NumLit(0)})):
         with pytest.raises(FormulaError, match="Stray"):
             fn(Stray())
     with pytest.raises(FormulaError, match="Stray"):
