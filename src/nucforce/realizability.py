@@ -19,7 +19,9 @@ is its case on the one-point frame, and the standard-frame entry point
 first validates the extension/reducibility agreement and then defers to
 the same clauses.  The frame memoizes what every check on it repeats:
 the antecedent realizers an implication scans, the checker's machine
-applications and its closed-atom verdicts, each decided once per frame.
+applications (one for every input of a code that ignores it), its
+closed-atom verdicts and its verdicts on universals, each decided once
+per frame.
 
 All verdicts are budgeted: Realized is certified only for the supplied
 fuel, universe, and candidate bounds; Refuted carries a concrete
@@ -333,12 +335,18 @@ class OraclePoset:
     _agreement: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The checker's memos: every check on this frame shares them, for as
     # long as the frame lives.
-    # (budgets, formula, member table) -> the antecedent realizers `_members` found
+    # (budgets, formula, member table) -> the antecedent realizers `_members`
+    # found; for falsum or an atom, every code or none, decided without a scan
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (code, input, member table, fuel) -> the verdict of `_code_apply`
+    # (code, input, member table, fuel) -> the verdict of `_code_apply`; a
+    # code `K B` never reads its input, so it is keyed with None for it
     _apps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (closed atom, fuel) -> its verdict and detail
     _atoms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (code, universal, member table, budgets) -> its verdict and detail; only
+    # universals are kept, as the negations an implication entry would hold
+    # are each met once
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.oracles:
@@ -573,8 +581,9 @@ class Budgets:
     candidates: int = 32      # antecedent realizer codes scanned per implication
 
     def __post_init__(self):
-        if min(vars(self).values()) < 1:
-            raise RealizabilityError("all budgets must be positive")
+        for name, value in vars(self).items():
+            if not (_is_natural(value) and value >= 1):
+                raise RealizabilityError(f"budget {name} {value!r} is not a positive integer")
 
     def to_dict(self) -> dict:
         return dict(vars(self))  # the fields, in declaration order
@@ -689,8 +698,13 @@ def _instance(phi: Formula, m: int) -> Formula:
 
 
 def _frame_apply(e: int, n: int, g: Oracle, T: OraclePoset, fuel: int):
-    """`_code_apply` run once per application on the frame T."""
-    key = (e, n, g.table, fuel)
+    """`_code_apply` run once per application on the frame T.  A code that
+    decodes to `K B` reduces to B in two fuel units whatever its input, so
+    its fuel checks, normal form and stuck detail never depend on n: it runs
+    once for every input.  `lam` compiles a body without its variable to
+    that form, as in `halting_code` and `mp_realizer(e, x)`."""
+    head = _decode_head(e)
+    key = (e, None if head[0] == "app" and head[1] == "K" else n, g.table, fuel)
     got = T._apps.get(key)
     if got is None:
         got = T._apps[key] = _code_apply(e, n, g, fuel)
@@ -749,8 +763,13 @@ def _status(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
             return REFUTED, f"witness {numeral_text(w)}: {d}"
         return st, d
     if isinstance(phi, Forall):
-        return _guarded(e, phi, f, T, cfg, lambda phi, g, T, cfg: (range(cfg.universe), False), _instance,
-                        "application fails at {} over {}: {}", "instance {} fails at {}: {}")
+        key = (e, phi, f.table, cfg)
+        got = T._verdicts.get(key)
+        if got is None:
+            got = T._verdicts[key] = _guarded(
+                e, phi, f, T, cfg, lambda phi, g, T, cfg: (range(cfg.universe), False), _instance,
+                "application fails at {} over {}: {}", "instance {} fails at {}: {}")
+        return got
     if isinstance(phi, Imp):
         return _guarded(e, phi, f, T, cfg, lambda phi, g, T, cfg: _members(phi.left, g, T, cfg),
                         lambda phi, n: phi.right,
@@ -787,19 +806,17 @@ def _guarded(e: int, phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets, scan
 
 def _members(phi: Formula, f: Oracle, T: OraclePoset, cfg: Budgets):
     """The codes below the candidate bound that realize phi at f, and
-    whether any of them ran out of budget; kept in the frame's memo."""
+    whether any of them ran out of budget; kept in the frame's memo.  The
+    verdict on falsum or an atom does not read the code, so one `_status`
+    call gives every code or none."""
     key = (cfg, phi, f.table)
     got = T._members.get(key)
     if got is None:
-        members = []
-        exhausted = False
-        for c in range(cfg.candidates):
-            st, _ = _status(c, phi, f, T, cfg)
-            if st == REALIZED:
-                members.append(c)
-            elif st == EXHAUSTED:
-                exhausted = True
-        got = T._members[key] = (members, exhausted)
+        if isinstance(phi, (Bot, Eq, Atom)):
+            verdicts = [_status(0, phi, f, T, cfg)[0]] * cfg.candidates
+        else:
+            verdicts = [_status(c, phi, f, T, cfg)[0] for c in range(cfg.candidates)]
+        got = T._members[key] = ([c for c, st in enumerate(verdicts) if st == REALIZED], EXHAUSTED in verdicts)
     return got
 
 

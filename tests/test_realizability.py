@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nucforce.formula import Eq, Imp, NumLit, neg, parse, print_formula
+from nucforce.formula import Eq, Forall, Imp, NumLit, neg, parse, print_formula
 from nucforce.realizability import (
     Budgets,
     DEFAULT_BUDGETS,
@@ -19,6 +19,7 @@ from nucforce.realizability import (
     REALIZED,
     REFUTED,
     RealizabilityError,
+    _frame_apply,
     _instance,
     app,
     apply,
@@ -367,6 +368,15 @@ def test_budget_validation():
     with pytest.raises(RealizabilityError):
         Budgets(witness=-1)
     assert DEFAULT_BUDGETS.fuel > 0
+
+
+@pytest.mark.parametrize("field, value", [("universe", 2.5), ("fuel", True), ("candidates", 3.0),
+                                          ("witness", "8"), ("fuel", None)])
+def test_every_budget_is_a_positive_integer(field, value):
+    # a float or a bool used to pass the positivity test, and 2.5 then
+    # failed inside range with a TypeError
+    with pytest.raises(RealizabilityError, match=f"budget {field} "):
+        Budgets(**{field: value})
 
 
 # -------------------------------------------------------------- oracles
@@ -747,8 +757,9 @@ def _counted_applications(monkeypatch):
 def test_repeated_check_on_a_frame_runs_no_application_again(monkeypatch):
     calls = _counted_applications(monkeypatch)
     T = OraclePoset((EMPTY_ORACLE,))
-    # K I applied to each numeral gives I, which is then applied to every
-    # realizer of each antecedent x = 0
+    # K I never reads its input, so it runs once for every numeral and
+    # gives I, which is then applied to every realizer of each antecedent
+    # x = 0
     phi = parse("forall x. (x = 0 -> x = 0)")
     e, cfg = halting_code(identity_code()), Budgets(universe=4, candidates=8)
     first = djg_realizes(e, phi, EMPTY_ORACLE, T, cfg)
@@ -790,6 +801,128 @@ def test_two_realizes_calls_share_nothing(monkeypatch):
     assert calls == applied + applied
 
 
+_UNDEFINED_AT_5 = Oracle.from_dict("g", {0: 1})
+
+
+@pytest.mark.parametrize("e, f, verdict", [
+    (halting_code(3), EMPTY_ORACLE, REALIZED),
+    (mp_realizer(halting_code(1), 0), EMPTY_ORACLE, REALIZED),
+    # the body runs the diverging code, so every input runs out of fuel
+    (encode(app("K", app(numt(diverging_code()), numt(0)))), EMPTY_ORACLE, EXHAUSTED),
+    # the body asks the oracle at 5, where it is undefined
+    (encode(app("K", app("ORA", numt(5)))), Oracle.from_dict("g", {0: 1}), REFUTED),
+])
+def test_a_constant_code_runs_once_for_every_input(e, f, verdict):
+    """A code `K B` never reads its input: the independent machine gives the
+    same outcome, steps and oracle points at every input, and that outcome
+    is the frame's one application entry."""
+    T, fuel = OraclePoset((f,)), DEFAULT_BUDGETS.fuel
+    outcomes = [reference_apply(e, n, f, fuel) for n in range(8)]
+    assert all(out == outcomes[0] for out in outcomes)
+    ref = outcomes[0]
+    want = (ref["verdict"], ref["value"] if ref["verdict"] == REALIZED else ref["detail"])
+    assert want[0] == verdict
+    assert [_frame_apply(e, n, f, T, fuel) for n in range(8)] == [want] * 8
+    assert list(T._apps.values()) == [want]
+    if verdict == REFUTED:
+        assert want[1] == "oracle g undefined at 5"
+
+
+@pytest.mark.parametrize("e", [identity_code(), diverging_code()])
+def test_a_code_that_reads_its_input_runs_once_per_input(e):
+    T, fuel = OraclePoset((EMPTY_ORACLE,)), 300
+    got = [_frame_apply(e, n, EMPTY_ORACLE, T, fuel) for n in range(8)]
+    assert len(T._apps) == 8
+    for n, out in enumerate(got):
+        ref = reference_apply(e, n, EMPTY_ORACLE, fuel)
+        assert out == (ref["verdict"], ref["value"] if ref["verdict"] == REALIZED else ref["detail"])
+
+
+def _counted_universals(monkeypatch):
+    """The (code, formula, member table, budgets, frame) of every universal
+    whose clause `_guarded` walks."""
+    from nucforce import realizability
+
+    calls = []
+    guarded = realizability._guarded
+
+    def counted(e, phi, f, T, cfg, *rest):
+        if isinstance(phi, Forall):
+            calls.append((e, phi, f.table, cfg, T))
+        return guarded(e, phi, f, T, cfg, *rest)
+
+    monkeypatch.setattr(realizability, "_guarded", counted)
+    return calls
+
+
+def test_each_universal_is_decided_once_per_frame(monkeypatch):
+    # the scan of the antecedent and the consequent under the identity
+    # check the same universal on the same codes at both members
+    calls = _counted_universals(monkeypatch)
+    f0, f1, T = _chain_poset()
+    phi = parse("(forall x. exists y. y = 0) -> forall x. exists y. y = 0")
+    cfg = Budgets(fuel=300, witness=8, universe=3, candidates=26)
+    for e in (identity_code(), encode("ORA")):
+        got = djg_realizes(e, phi, f0, T, cfg).verdict
+        assert got == VERDICT_OF[frame_verdict(e, phi, f0, T.oracles, cfg)]
+    assert calls and len(calls) == len(set(calls)) == len(T._verdicts)
+    assert set(T._verdicts) == {key[:4] for key in calls}
+    walked = len(calls)
+    djg_realizes(identity_code(), phi, f1, T, cfg)
+    assert len(calls) == walked
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("e, text, budgets, want", [
+    # K 0 needs two steps on any input: its decode and the K step
+    (halting_code(0), "forall x. 0 = 0", [Budgets(fuel=1), Budgets(fuel=300)], [EXHAUSTED, REALIZED]),
+    # below 4 no code realizes the antecedent; below 8 code 6 = pair(3, 0)
+    # does, and K 0 sends every numeral to code 0, which cannot be applied
+    (halting_code(0), "forall x. ((exists y. y = 3) -> 0 = 0)", [Budgets(candidates=4), Budgets(candidates=8)],
+     [REALIZED, REFUTED]),
+])
+def test_verdict_memo_keeps_budgets_apart(order, e, text, budgets, want):
+    T = OraclePoset((EMPTY_ORACLE,))
+    phi = parse(text)
+    for i in order:
+        assert djg_realizes(e, phi, EMPTY_ORACLE, T, budgets[i]).verdict == want[i]
+        assert realizes(e, phi, EMPTY_ORACLE, budgets[i]).verdict == want[i]
+    assert len(T._verdicts) == 2
+
+
+def test_two_realizes_calls_share_no_verdict(monkeypatch):
+    calls = _counted_universals(monkeypatch)
+    phi = parse("forall x. forall y. (y = 0 -> y = 0)")
+    e, cfg = halting_code(halting_code(identity_code())), Budgets(universe=4, candidates=8)
+    first = realizes(e, phi, EMPTY_ORACLE, cfg)
+    walked = [key[:4] for key in calls]
+    assert first.realized and walked
+    assert realizes(e, phi, EMPTY_ORACLE, cfg).to_dict() == first.to_dict()
+    assert [key[:4] for key in calls] == walked + walked
+    assert calls[0][4] is not calls[len(walked)][4]
+
+
+def test_criterion_5_stays_checked_against_the_reference_with_the_verdict_memo_warm(monkeypatch):
+    """Criterion 5's sentences and oracles, on one frame per oracle: a second
+    pass in reverse order reads every universal from the memo and still
+    gives the verdicts of the independent Kleene reference."""
+    from test_acceptance import SENTENCE_STOCK
+
+    calls = _counted_universals(monkeypatch)
+    cfg = Budgets(fuel=300, witness=8, universe=4, candidates=8)
+    sentences = [parse(s) for s in SENTENCE_STOCK]
+    codes = list(range(11)) + [identity_code(), halting_code(0), diverging_code(), encode(app("K", "K"))]
+    for f in (EMPTY_ORACLE, Oracle.from_dict("g1", {0: 2}), Oracle.from_dict("g2", {1: 1, 3: 0})):
+        T = OraclePoset((f,))
+        rows = [(e, phi) for e in codes for phi in sentences]
+        for e, phi in rows:
+            assert djg_realizes(e, phi, f, T, cfg).verdict == VERDICT_OF[kleene_verdict(e, phi, f, cfg)]
+        walked = len(calls)
+        for e, phi in reversed(rows):
+            assert djg_realizes(e, phi, f, T, cfg).verdict == VERDICT_OF[kleene_verdict(e, phi, f, cfg)]
+        assert T._verdicts and len(calls) == walked
+
+
 def test_an_exhausted_instance_or_consequent_leaves_the_verdict_pending():
     """The application succeeds and returns the diverging code, whose own
     applications run out of fuel: an instance of the outer universal, and
@@ -816,6 +949,27 @@ def test_an_exhausted_antecedent_candidate_leaves_the_implication_pending():
         assert REALIZED not in scan and (EXHAUSTED in scan) == (want == EXHAUSTED)
         assert VERDICT_OF[kleene_verdict(0, phi, EMPTY_ORACLE, cfg)] == want
         assert realizes(0, phi, EMPTY_ORACLE, cfg).verdict == want
+
+
+@pytest.mark.parametrize("fuel, text", [
+    (300, "bot"), (300, "0 = 0"), (300, "0 = 1"),
+    # the bound needs 6 units of fuel before any step
+    (1, f"StepHalt({halting_code(0)}, 0, 5)"), (300, f"StepHalt({halting_code(0)}, 0, 5)"),
+    (300, f"StepHalt({diverging_code()}, 0, 5)"),
+])
+def test_falsum_and_atom_antecedents_are_decided_without_a_scan(fuel, text):
+    """The realizers of falsum or an atom, as an implication finds them, are
+    those a check of every candidate finds, and the set is marked out of
+    budget when that check runs out of fuel."""
+    cfg = Budgets(fuel=fuel, candidates=8)
+    phi = parse(text)
+    scan = [djg_realizes(c, phi, EMPTY_ORACLE, OraclePoset((EMPTY_ORACLE,)), cfg).verdict
+            for c in range(cfg.candidates)]
+    want = ([c for c, v in enumerate(scan) if v == REALIZED], EXHAUSTED in scan)
+    T = OraclePoset((EMPTY_ORACLE,))
+    got = djg_realizes(halting_code(0), Imp(phi, parse("0 = 0")), EMPTY_ORACLE, T, cfg).verdict
+    assert T._members == {(cfg, phi, EMPTY_ORACLE.table): want}
+    assert got == (EXHAUSTED if want[1] else REALIZED)
 
 
 def _forked_frame():
@@ -927,10 +1081,11 @@ def test_separation_demo_decides_each_application_and_atom_once_per_frame(monkey
     # whose frame argument names the frame whose memos it fills
     from nucforce import realizability
 
-    frames, apps, atoms = [], [], []
+    frames, apps, atoms, calls = [], [], [], [0]
     status, code_apply, atom_true = realizability._status, realizability._code_apply, realizability._atom_true
 
     def in_frame(e, phi, f, T, cfg):
+        calls[0] += 1
         frames.append(T)
         try:
             return status(e, phi, f, T, cfg)
@@ -955,6 +1110,10 @@ def test_separation_demo_decides_each_application_and_atom_once_per_frame(monkey
     assert len({key[0] for key in apps}) == 2
     assert apps and len(apps) == len(set(apps))
     assert atoms and len(atoms) == len(set(atoms))
+    # the demo's deterministic work: constant codes run once for every
+    # input, and each universal is decided once per frame (4,186
+    # applications and 67,647 `_status` calls without either)
+    assert (len(apps), calls[0]) == (2338, 16392)
 
 
 def test_separation_demo_section_i_is_not_green_without_an_instance():
