@@ -801,9 +801,6 @@ def test_two_realizes_calls_share_nothing(monkeypatch):
     assert calls == applied + applied
 
 
-_UNDEFINED_AT_5 = Oracle.from_dict("g", {0: 1})
-
-
 @pytest.mark.parametrize("e, f, verdict", [
     (halting_code(3), EMPTY_ORACLE, REALIZED),
     (mp_realizer(halting_code(1), 0), EMPTY_ORACLE, REALIZED),
@@ -1110,9 +1107,8 @@ def test_separation_demo_decides_each_application_and_atom_once_per_frame(monkey
     assert len({key[0] for key in apps}) == 2
     assert apps and len(apps) == len(set(apps))
     assert atoms and len(atoms) == len(set(atoms))
-    # the demo's deterministic work: constant codes run once for every
-    # input, and each universal is decided once per frame (4,186
-    # applications and 67,647 `_status` calls without either)
+    # the demo's deterministic work, with constant codes run once for
+    # every input and each universal decided once per frame
     assert (len(apps), calls[0]) == (2338, 16392)
 
 
